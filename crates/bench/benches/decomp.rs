@@ -24,9 +24,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_core::{Budget, World};
 use olp_ground::{ground_exhaustive, GroundConfig};
+use olp_semantics::reference::stable_models_monolithic_budgeted;
 use olp_semantics::{
-    enumerate_assumption_free_decomposed, enumerate_assumption_free_propagating,
-    stable_models_decomposed, stable_models_monolithic_budgeted, View,
+    enumerate_assumption_free_decomposed_budgeted, enumerate_assumption_free_propagating,
+    stable_models, View,
 };
 use olp_workload::defeating_cliques;
 use std::hint::black_box;
@@ -50,7 +51,17 @@ fn bench_decomp(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("af_decomposed", k), &k, |b, _| {
             let view = View::new(&ground, consumer);
-            b.iter(|| black_box(enumerate_assumption_free_decomposed(&view, n)));
+            b.iter(|| {
+                black_box(
+                    enumerate_assumption_free_decomposed_budgeted(
+                        &view,
+                        n,
+                        &Budget::unlimited(),
+                        None,
+                    )
+                    .into_value(),
+                )
+            });
         });
         group.bench_with_input(BenchmarkId::new("stable_monolithic", k), &k, |b, _| {
             let view = View::new(&ground, consumer);
@@ -63,7 +74,7 @@ fn bench_decomp(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("stable_decomposed", k), &k, |b, _| {
             let view = View::new(&ground, consumer);
-            b.iter(|| black_box(stable_models_decomposed(&view, n)));
+            b.iter(|| black_box(stable_models(&view, n)));
         });
     }
     group.finish();

@@ -22,7 +22,8 @@ use olp_bench::{big_config, ground_built_smart};
 use olp_core::{Budget, CompId, World};
 use olp_ground::ground_exhaustive;
 use olp_parser::parse_ground_literal;
-use olp_semantics::{least_model, least_model_budgeted, least_model_naive, prove, View};
+use olp_semantics::reference::least_model_naive;
+use olp_semantics::{least_model, least_model_budgeted, prove, View};
 use olp_workload::taxonomy_chain;
 use std::hint::black_box;
 use std::time::Duration;

@@ -1,17 +1,17 @@
 //! Experiment B10 — the parallel evaluation pipeline: multi-threaded
-//! grounding, the stratum-wavefront least model, and the
+//! grounding, the morsel-driven flat least model, and the
 //! selectivity-driven join planner.
 //!
 //! Workload: [`olp_workload::ancestor`] over a random edge relation —
 //! one big recursive component whose semi-naive frontier batches are
 //! wide enough to shard, plus [`olp_workload::defeating_cliques`] as
-//! the many-strata shape for the wavefront. Three groups:
+//! the many-strata shape for the morsel scheduler. Three groups:
 //!
 //! * `ground` — `ground_smart` at 1/2/4/8 threads (the BSP closure is
 //!   bit-deterministic, so every thread count produces the identical
 //!   program; only wall-clock changes);
-//! * `least_model` — sequential stratified engine vs the wavefront at
-//!   2/4/8 threads on the same ground view;
+//! * `least_model` — the morsel engine at 1 thread (its sequential flat
+//!   path) and at 2/4/8 threads on the same compiled arena;
 //! * `planner` — grounding with the join planner on vs off at a single
 //!   thread, isolating the literal-reordering / positional-index win
 //!   from the parallelism win.
@@ -21,9 +21,9 @@
 //! `experiments` binary; this bench is the fine-grained Criterion view.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olp_core::{CompId, World};
-use olp_ground::{ground_smart, GroundConfig, GroundProgram};
-use olp_semantics::{least_model_parallel, least_model_stratified, View};
+use olp_core::{Budget, CompId, World};
+use olp_ground::{ground_smart, FlatView, GroundConfig, GroundProgram};
+use olp_semantics::{least_model_morsel, MorselCfg};
 use olp_workload::{ancestor, defeating_cliques, GraphShape};
 use std::hint::black_box;
 use std::time::Duration;
@@ -64,34 +64,23 @@ fn bench_parallel(c: &mut Criterion) {
         );
     }
 
-    // Wavefront vs sequential stratified, same precomputed ground view.
+    // The morsel scheduler over one precomputed arena per workload:
+    // the ancestor component, and many independent strata (defeating
+    // cliques, the shape where a per-level barrier once cost 27x).
     let (_w, ga) = ancestor_ground(1, true);
-    let view = View::new(&ga, CompId(0));
-    group.bench_function(BenchmarkId::new("least_model/ancestor", "seq"), |b| {
-        b.iter(|| black_box(least_model_stratified(&view)))
-    });
-    for &threads in &[2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("least_model/ancestor/wavefront", threads),
-            &threads,
-            |b, &threads| b.iter(|| black_box(least_model_parallel(&view, threads))),
-        );
-    }
-
-    // Many independent strata: the wavefront's natural shape.
     let mut world = World::new();
     let prog = defeating_cliques(&mut world, 12);
     let gd = ground_smart(&mut world, &prog, &GroundConfig::default()).expect("cliques ground");
-    let dview = View::new(&gd, CompId(0));
-    group.bench_function(BenchmarkId::new("least_model/cliques", "seq"), |b| {
-        b.iter(|| black_box(least_model_stratified(&dview)))
-    });
-    for &threads in &[2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("least_model/cliques/wavefront", threads),
-            &threads,
-            |b, &threads| b.iter(|| black_box(least_model_parallel(&dview, threads))),
-        );
+    for (name, gp) in [("ancestor", &ga), ("cliques", &gd)] {
+        let fv = FlatView::new(gp, CompId(0));
+        for &threads in &[1usize, 2, 4, 8] {
+            let cfg = MorselCfg::with_threads(threads);
+            group.bench_with_input(
+                BenchmarkId::new(format!("least_model/{name}/morsel"), threads),
+                &threads,
+                |b, _| b.iter(|| black_box(least_model_morsel(&fv, &cfg, &Budget::unlimited()))),
+            );
+        }
     }
 
     // Planner ablation at one thread: textual join order + full scans

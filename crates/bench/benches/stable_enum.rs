@@ -8,10 +8,6 @@
 //!   ordered enumeration (Definition 9 search over derivable atoms);
 //! * `ordered_stable_propagating` — the same with Def.-3 unit
 //!   propagation (ablation: how much forced structure prunes);
-//! * `ordered_stable_parallel4` — the propagating search split over 4
-//!   scoped threads. On these micro-instances thread startup dominates
-//!   (the honest result: parallelism loses below ~ms-scale searches and
-//!   only pays on large contested cores);
 //! * `sz_partial_stable` — Saccà–Zaniolo partial stable models via
 //!   3-valued enumeration (the Cor. 1 right-hand side);
 //! * `gl_total_stable` — Gelfond–Lifschitz total stable models via the
@@ -28,7 +24,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_classic::{partial_stable_models, stable_models_total, NafProgram};
 use olp_core::World;
 use olp_ground::{ground_exhaustive, GroundConfig};
-use olp_semantics::{stable_models, stable_models_naive, View};
+use olp_semantics::reference::stable_models_naive;
+use olp_semantics::{stable_models, View};
 use olp_transform::ordered_version;
 use olp_workload::{random_seminegative, RandomCfg};
 use std::hint::black_box;
@@ -75,14 +72,6 @@ fn bench_stable(c: &mut Criterion) {
             |b, _| {
                 let view = View::new(&ov, ov_c);
                 b.iter(|| black_box(stable_models(&view, n)));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("ordered_stable_parallel4", n_atoms),
-            &n_atoms,
-            |b, _| {
-                let view = View::new(&ov, ov_c);
-                b.iter(|| black_box(olp_semantics::stable_models_parallel(&view, n, 4)));
             },
         );
         group.bench_with_input(

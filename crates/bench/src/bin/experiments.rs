@@ -13,11 +13,12 @@ use olp_core::{CompId, Interpretation, World};
 use olp_ground::{ground_exhaustive, GroundConfig};
 use olp_kb::{GroundStrategy, Kb, KbBuilder};
 use olp_parser::{parse_ground_literal, parse_program};
+use olp_semantics::reference::{
+    enumerate_assumption_free, enumerate_models, stable_models_monolithic_budgeted,
+};
 use olp_semantics::{
-    enumerate_assumption_free, enumerate_assumption_free_decomposed,
-    enumerate_assumption_free_propagating, enumerate_models, has_total_model, is_assumption_free,
-    is_model, least_model, stable_models, stable_models_decomposed,
-    stable_models_monolithic_budgeted, View,
+    enumerate_assumption_free_decomposed_budgeted, enumerate_assumption_free_propagating,
+    has_total_model, is_assumption_free, is_model, least_model, stable_models, View,
 };
 use olp_transform::{extended_version, ordered_version, three_level_version};
 use olp_workload::{
@@ -510,7 +511,15 @@ fn main() {
             let n = g.n_atoms;
             let (t_af_mono, af_mono) =
                 best_of_3(|| enumerate_assumption_free_propagating(&view, n));
-            let (t_af_dec, af_dec) = best_of_3(|| enumerate_assumption_free_decomposed(&view, n));
+            let (t_af_dec, af_dec) = best_of_3(|| {
+                enumerate_assumption_free_decomposed_budgeted(
+                    &view,
+                    n,
+                    &olp_core::Budget::unlimited(),
+                    None,
+                )
+                .into_value()
+            });
             assert_eq!(
                 rendered(&af_mono, &w),
                 rendered(&af_dec, &w),
@@ -520,7 +529,7 @@ fn main() {
                 stable_models_monolithic_budgeted(&view, n, &olp_core::Budget::unlimited(), None)
                     .into_value()
             });
-            let (t_st_dec, st_dec) = best_of_3(|| stable_models_decomposed(&view, n));
+            let (t_st_dec, st_dec) = best_of_3(|| stable_models(&view, n));
             assert_eq!(
                 rendered(&st_mono, &w),
                 rendered(&st_dec, &w),
@@ -728,9 +737,19 @@ fn main() {
     //   * ≥1.3x single-threaded from the join planner alone (plan on
     //     vs off), which is host-independent and always enforced.
     {
+        use olp_core::Budget;
         use olp_ground::{ground_smart, GroundProgram};
-        use olp_semantics::{
-            flatten, least_model_flat, least_model_parallel, least_model_stratified,
+        use olp_semantics::reference::least_model_monolithic;
+        use olp_semantics::{flatten, least_model_flat, least_model_morsel, MorselCfg};
+        // The morsel scheduler at `threads` workers (its sequential
+        // path at one thread).
+        let morsel_least_model = |view: &View, threads: usize| {
+            least_model_morsel(
+                &flatten(view),
+                &MorselCfg::with_threads(threads),
+                &Budget::unlimited(),
+            )
+            .into_value()
         };
 
         const N: usize = 220;
@@ -789,7 +808,7 @@ fn main() {
         let dflt = GroundConfig::default().max_instances;
         let (w1, g1) = build_ancestor(N, EDGES, 1, true, dflt);
         let ref_render = g1.render(&w1);
-        let ref_model = least_model_stratified(&View::new(&g1, CompId(0))).render(&w1);
+        let ref_model = least_model_monolithic(&View::new(&g1, CompId(0))).render(&w1);
 
         let mut anc_rows = Vec::new();
         let mut e2e_1t = Duration::MAX;
@@ -807,7 +826,7 @@ fn main() {
                 if threads == 1 {
                     least_model_flat(&flatten(&view))
                 } else {
-                    least_model_parallel(&view, threads)
+                    morsel_least_model(&view, threads)
                 }
             });
             assert_eq!(
@@ -878,14 +897,14 @@ fn main() {
         let pq = defeating_cliques(&mut wq, CLIQUES);
         let gq = ground_smart(&mut wq, &pq, &GroundConfig::default()).expect("cliques ground");
         let qview = View::new(&gq, CompId(0));
-        let clique_ref = least_model_stratified(&qview).render(&wq);
+        let clique_ref = least_model_monolithic(&qview).render(&wq);
         let mut clique_rows = Vec::new();
         for &threads in &thread_counts {
             let (t_lfp, model) = best_of_3(|| {
                 if threads == 1 {
                     least_model_flat(&flatten(&qview))
                 } else {
-                    least_model_parallel(&qview, threads)
+                    morsel_least_model(&qview, threads)
                 }
             });
             assert_eq!(

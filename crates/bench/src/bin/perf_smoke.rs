@@ -31,11 +31,11 @@
 //! single-model, that is reported as FAIL too (lost fast-path
 //! coverage is a perf regression, not a skip).
 
-use olp_core::{CompId, World};
+use olp_core::{Budget, CompId, World};
 use olp_ground::{ground_smart, GroundConfig, GroundProgram};
 use olp_kb::{GroundStrategy, Kb, KbBuilder};
 use olp_parser::parse_program;
-use olp_semantics::{flatten, least_model_flat, least_model_parallel, View};
+use olp_semantics::{flatten, least_model_flat, least_model_morsel, MorselCfg, View};
 use olp_workload::{ancestor, mutation_stream, taxonomy_chain, GraphShape, Mutation, MutationCfg};
 use std::time::{Duration, Instant};
 
@@ -84,7 +84,8 @@ fn end_to_end(threads: usize) -> (Duration, String) {
         let m = if threads == 1 {
             least_model_flat(&flatten(&view))
         } else {
-            least_model_parallel(&view, threads)
+            let cfg = MorselCfg::with_threads(threads);
+            least_model_morsel(&flatten(&view), &cfg, &Budget::unlimited()).into_value()
         };
         best = best.min(t.elapsed());
         model = m.render(&w);

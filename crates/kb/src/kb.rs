@@ -9,22 +9,20 @@
 //! per object against cached least models, with stable-model queries
 //! for the choice-style programs.
 
+use crate::eval::{self, Answer, Ask, Cached, Caches, Limits, Proofs};
 use crate::relation::Relation;
-use olp_analyze::{analyze, ComponentProfile, Diagnostic, Severity, StratClass};
+use crate::resolve::{self, Pattern};
+use olp_analyze::{analyze, ComponentProfile, Diagnostic, Severity};
 use olp_core::{
-    Budget, CompId, Eval, FxHashMap, FxHashSet, Interpretation, Interrupted, Literal, Rule, Term,
-    Truth, World,
+    Budget, CompId, Eval, FxHashMap, FxHashSet, GLit, Interpretation, Interrupted, Literal, Rule,
+    RuleSpan, Term, Truth, World,
 };
 use olp_ground::{
     ground_exhaustive, ground_smart, DeltaGrounder, DeltaRuleId, FlatPatch, FlatView, GroundConfig,
     GroundDelta, GroundError, GroundProgram, GroundRule, ProgramStats,
 };
 use olp_parser::{parse_ground_literal, parse_program, parse_rule, ParseError};
-use olp_semantics::{
-    least_model_delta_flat, least_model_flat, least_model_flat_definite,
-    least_model_monolithic_budgeted, least_model_morsel, stable_models_decomposed_cached,
-    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, MorselCfg, View,
-};
+use olp_semantics::{GroupMemo, MorselCfg, View};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,19 +42,6 @@ pub fn default_threads() -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-}
-
-/// Target morsel weight for the parallel fixpoint when none is
-/// configured explicitly: the `OLP_MORSEL` environment variable when
-/// set to a positive integer, else the engine default
-/// ([`MorselCfg::default`]). Purely a scheduling knob — results are
-/// identical at every value.
-pub fn default_morsel_weight() -> u64 {
-    std::env::var("OLP_MORSEL")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(MorselCfg::default().target_weight)
 }
 
 /// Per-object cap on memoised stable-model group entries; exceeding it
@@ -155,7 +140,8 @@ impl From<GroundError> for KbError {
 /// Resource limits for a single query. The default is unlimited.
 ///
 /// Budgeted query methods (`model_with`, `truth_with`, `query_with`,
-/// `skeptical_with`, `stable_with`) return an [`Eval`]: `Complete` when
+/// `skeptical_with`, `credulous_with`, `stable_with`) return an
+/// [`Eval`]: `Complete` when
 /// the computation finished within the limits, `Interrupted` with an
 /// *anytime* partial result otherwise (see each method for what the
 /// partial result guarantees).
@@ -165,22 +151,13 @@ pub struct QueryOptions {
     pub deadline: Option<Instant>,
     /// Cap on engine work units (rule firings / search nodes / ticks).
     pub max_steps: Option<u64>,
-    /// Cap on the number of stable models enumerated (stable/skeptical
-    /// queries only).
+    /// Cap on the number of models enumerated (stable-model queries
+    /// only; skeptical and credulous answers always use every model).
     pub max_models: Option<usize>,
-    /// Evaluate component-wise (SCC condensation / independent rule
-    /// groups). On by default; [`QueryOptions::no_decomp`] forces the
-    /// monolithic engines (escape hatch and differential baseline).
-    pub decomp: bool,
-    /// Worker threads for query evaluation: the morsel-driven least
-    /// model and the parallel stable enumerator. Defaults to
-    /// [`default_threads`]; `1` takes the sequential code paths exactly.
+    /// Worker threads for the morsel-driven least model. Defaults to
+    /// [`default_threads`]; `1` takes the sequential code path exactly.
     /// Results are identical at every value.
     pub threads: usize,
-    /// Target morsel weight for the parallel fixpoint (rules plus
-    /// body/attack edges per work-stealing unit). Defaults to
-    /// [`default_morsel_weight`]; results are identical at every value.
-    pub morsel_weight: u64,
     /// Reject mutations that *introduce* new static-analysis findings
     /// ([`Kb::assert_rule_with`] / [`Kb::retract_rule_with`] return
     /// [`KbError::Rejected`] and leave the KB unchanged). Off by
@@ -194,9 +171,7 @@ impl Default for QueryOptions {
             deadline: None,
             max_steps: None,
             max_models: None,
-            decomp: true,
             threads: default_threads(),
-            morsel_weight: default_morsel_weight(),
             deny_warnings: false,
         }
     }
@@ -226,23 +201,9 @@ impl QueryOptions {
         self
     }
 
-    /// Disables component-wise evaluation for this query (runs the
-    /// monolithic fixpoint / enumeration engines instead).
-    pub fn no_decomp(mut self) -> Self {
-        self.decomp = false;
-        self
-    }
-
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the target morsel weight for parallel evaluation (clamped
-    /// to at least 1).
-    pub fn morsel_weight(mut self, weight: u64) -> Self {
-        self.morsel_weight = weight.max(1);
         self
     }
 
@@ -388,29 +349,13 @@ impl KbBuilder {
                 Vec::new(),
             ),
         };
-        let n_comps = self.prog.components.len();
-        Ok(Kb {
-            world: Arc::new(self.world),
-            prog: Arc::new(self.prog),
-            ground: Arc::new(ground),
-            least_cache: FxHashMap::default(),
-            flat_cache: FxHashMap::default(),
-            stable_cache: FxHashMap::default(),
-            stable_results: FxHashMap::default(),
-            strategy,
-            cfg: cfg.clone(),
-            delta,
-            delta_ids,
-            incremental: strategy == GroundStrategy::Smart,
-            epoch: 0,
-            touched_log: Vec::new(),
-            view_version: vec![0; n_comps],
-            ast_version: vec![0; n_comps],
-            threads: default_threads(),
-            morsel_weight: default_morsel_weight(),
-            profiles: FxHashMap::default(),
-            profile_guided: true,
-        })
+        let mut kb = Kb::from_ground_parts(self.world, self.prog, ground);
+        kb.strategy = strategy;
+        kb.cfg = cfg.clone();
+        kb.delta = delta;
+        kb.delta_ids = delta_ids;
+        kb.incremental = strategy == GroundStrategy::Smart;
+        Ok(kb)
     }
 }
 
@@ -480,6 +425,18 @@ struct CachedModel {
     view_version: u64,
 }
 
+/// One rule edit of a component: add a rule, or remove the `i`-th.
+enum Edit {
+    Add(Rule),
+    Remove(usize),
+}
+
+/// What reverts an applied [`Edit`] in the ordered program.
+enum Undo {
+    Pop,
+    Insert(usize, Rule, Option<RuleSpan>),
+}
+
 /// A ground, queryable knowledge base.
 ///
 /// Mutations ([`Kb::assert_rule`] / [`Kb::retract_rule`]) are
@@ -512,8 +469,8 @@ pub struct Kb {
     /// component's rules rather than in Tarjan + rank-sort work.
     flat_cache: FxHashMap<CompId, Arc<FlatView>>,
     /// Per object: memoised stable enumerations keyed by independent
-    /// rule-group contents (see [`stable_models_decomposed_cached`]).
-    stable_cache: FxHashMap<CompId, FxHashMap<Vec<GroundRule>, Vec<Interpretation>>>,
+    /// rule-group contents (see [`olp_semantics::stable_models_decomposed`]).
+    stable_cache: FxHashMap<CompId, GroupMemo>,
     /// Per object: the last **complete, uncapped** stable enumeration,
     /// keyed by the view version it was computed at. Serves repeat
     /// `stable()` calls in O(1) when no visible rule changed (the group
@@ -553,13 +510,10 @@ pub struct Kb {
     /// ground version would leave it stale exactly there.
     ast_version: Vec<u64>,
     /// Worker threads for **unbudgeted** query evaluation ([`Kb::model`]
-    /// and friends; budgeted calls take [`QueryOptions::threads`]).
-    /// Initialised to [`default_threads`]; results are identical at
-    /// every value.
+    /// and friends) and [`Kb::read`]; calls with [`QueryOptions`] take
+    /// [`QueryOptions::threads`]. Initialised to [`default_threads`];
+    /// results are identical at every value.
     threads: usize,
-    /// Target morsel weight for parallel evaluation (see
-    /// [`default_morsel_weight`]).
-    morsel_weight: u64,
     /// Per-component semantic profiles ([`olp_analyze::profile`]),
     /// keyed by the **AST version** they were computed at. The profile
     /// depends only on the component's AST view and the order, and
@@ -579,43 +533,7 @@ pub struct Kb {
 
 impl Kb {
     fn comp(&self, object: &str) -> Result<CompId, KbError> {
-        let sym = self
-            .world
-            .syms
-            .get(object)
-            .ok_or_else(|| KbError::UnknownObject(object.to_string()))?;
-        self.prog
-            .component_by_name(sym)
-            .ok_or_else(|| KbError::UnknownObject(object.to_string()))
-    }
-
-    /// The union of atoms touched by every mutation since epoch
-    /// `since`, as sorted dense indices.
-    fn touched_since(&self, since: u64) -> Vec<usize> {
-        let mut set: FxHashSet<usize> = FxHashSet::default();
-        for v in &self.touched_log[since as usize..] {
-            set.extend(v.iter().copied());
-        }
-        let mut out: Vec<usize> = set.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The compiled flat arena for component `c` at the current epoch,
-    /// built at most once per epoch (ROADMAP 3c: flatten construction
-    /// dominated evaluation, so rebuilding per recompute was the
-    /// per-request cost a server cannot afford). [`Kb::commit`] keeps
-    /// the cache warm across mutations — untouched components keep
-    /// their arena, touched ones get a spliced patch, and only an
-    /// SCC-reshaping change falls back to this lazy rebuild; snapshots
-    /// receive the same `Arc`s for free.
-    fn flat(&mut self, c: CompId) -> Arc<FlatView> {
-        if let Some(fv) = self.flat_cache.get(&c) {
-            return fv.clone();
-        }
-        let fv = Arc::new(FlatView::new(&self.ground, c));
-        self.flat_cache.insert(c, fv.clone());
-        fv
+        resolve::component(&self.world, &self.prog, object)
     }
 
     /// The current view version of component `c` (see the field doc).
@@ -656,56 +574,63 @@ impl Kb {
         }
     }
 
-    /// Makes `least_cache[c]` present and current (epoch == now). A
-    /// stale entry whose view version did not move is re-tagged in O(1)
-    /// (its view's rules are unchanged, so its model is still exact);
-    /// otherwise it is revalidated with [`least_model_delta_flat`] over
-    /// the maintained arena — recomputing only the strata downstream of
-    /// atoms touched since it was cached — instead of from scratch.
-    fn ensure_model(&mut self, c: CompId) {
-        let vv = self.view_version(c);
-        let epoch = self.epoch;
-        let stale = match self.least_cache.get_mut(&c) {
-            Some(e) if e.epoch == epoch => return,
-            Some(e) if e.view_version == vv => {
-                e.epoch = epoch;
-                return;
-            }
-            Some(e) => Some(e.epoch),
-            None => None,
+    /// Plans and runs one read of component `c` through the evaluation
+    /// front door ([`crate::eval`]) at this KB's thread count.
+    fn read_in(
+        &mut self,
+        c: CompId,
+        ask: Ask,
+        budget: &Budget,
+        max_models: Option<usize>,
+    ) -> Eval<Answer> {
+        let lim = Limits {
+            budget,
+            max_models,
+            threads: self.threads,
         };
-        let model = match stale {
-            Some(since) => {
-                let touched = self.touched_since(since);
-                let old = self.least_cache[&c].model.clone();
-                let fv = self.flat(c);
-                least_model_delta_flat(&fv, &old, &touched, &Budget::unlimited())
-                    .expect_complete("unlimited delta revalidation always completes")
-            }
-            // Fresh computations compile the flat arena view directly —
-            // no interpretive hash-map view on the hot path.
-            None if self.threads > 1 => {
-                let mut cfg = self.morsel_cfg(self.threads);
-                cfg.assume_definite = self.proved_definite(c);
-                let fv = self.flat(c);
-                least_model_morsel(&fv, &cfg, &Budget::unlimited())
-                    .expect_complete("unlimited evaluation always completes")
-            }
-            None if self.proved_definite(c) => {
-                let fv = self.flat(c);
-                least_model_flat_definite(&fv, &Budget::unlimited())
-                    .expect_complete("unlimited evaluation always completes")
-            }
-            None => least_model_flat(&self.flat(c)),
+        eval::read(self, c, ask, &lim).1
+    }
+
+    /// [`Kb::read_in`] under `opts` (a fresh budget, `opts.threads`).
+    fn read_with(&mut self, c: CompId, ask: Ask, opts: &QueryOptions) -> Eval<Answer> {
+        let lim = Limits {
+            budget: &opts.budget(),
+            max_models: opts.max_models,
+            threads: opts.threads,
         };
-        self.least_cache.insert(
-            c,
-            CachedModel {
-                model: Arc::new(model),
-                epoch: self.epoch,
-                view_version: vv,
-            },
-        );
+        eval::read(self, c, ask, &lim).1
+    }
+
+    /// The unbudgeted answer to `ask` on `c`.
+    fn read_complete(&mut self, c: CompId, ask: Ask) -> Answer {
+        self.read_in(c, ask, &Budget::unlimited(), None)
+            .expect_complete("unlimited evaluation always completes")
+    }
+
+    /// The current least model of `c`, cached across queries **and
+    /// mutations** (stale entries are re-tagged or delta-revalidated,
+    /// not recomputed).
+    fn current_model(&mut self, c: CompId) -> Arc<Interpretation> {
+        self.read_complete(c, Ask::Least).into_model()
+    }
+
+    /// The one read entry point: plans and runs `ask` on `object`
+    /// under `budget` at this KB's thread count ([`Kb::set_threads`]),
+    /// capping stable and assumption-free enumeration at `max_models`.
+    /// One budget may govern several reads — a CLI command shares its
+    /// grounding budget with every evaluation it prints. The typed
+    /// methods (`model_with`, `stable_with`, …) are this read under
+    /// [`QueryOptions`]; partial results carry their documented
+    /// anytime guarantees.
+    pub fn read(
+        &mut self,
+        object: &str,
+        ask: Ask,
+        budget: &Budget,
+        max_models: Option<usize>,
+    ) -> Result<Eval<Answer>, KbError> {
+        let c = self.comp(object)?;
+        Ok(self.read_in(c, ask, budget, max_models))
     }
 
     /// The least model of the program *in* `object`, cached across
@@ -713,7 +638,7 @@ impl Kb {
     /// not recomputed).
     pub fn model(&mut self, object: &str) -> Result<&Interpretation, KbError> {
         let c = self.comp(object)?;
-        self.ensure_model(c);
+        self.current_model(c);
         Ok(self.least_cache[&c].model.as_ref())
     }
 
@@ -729,69 +654,9 @@ impl Kb {
         &mut self,
         object: &str,
         opts: &QueryOptions,
-    ) -> Result<Eval<Interpretation>, KbError> {
+    ) -> Result<Eval<Arc<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        Ok(self.model_eval(c, opts))
-    }
-
-    /// [`Kb::model_with`] at component granularity (also the engine
-    /// behind the profile-guided stable/skeptical fast paths).
-    fn model_eval(&mut self, c: CompId, opts: &QueryOptions) -> Eval<Interpretation> {
-        let vv = self.view_version(c);
-        let epoch = self.epoch;
-        let stale = match self.least_cache.get_mut(&c) {
-            Some(e) if e.epoch == epoch => return Eval::Complete(e.model.as_ref().clone()),
-            Some(e) if e.view_version == vv => {
-                // Mutations happened, but none changed a rule visible
-                // from `c`: the cached model is exact at this epoch.
-                e.epoch = epoch;
-                return Eval::Complete(e.model.as_ref().clone());
-            }
-            Some(e) => Some(e.epoch),
-            None => None,
-        };
-        if let (Some(since), true) = (stale, opts.decomp) {
-            let touched = self.touched_since(since);
-            let old = self.least_cache[&c].model.clone();
-            let fv = self.flat(c);
-            let eval = least_model_delta_flat(&fv, &old, &touched, &opts.budget());
-            if let Eval::Complete(m) = &eval {
-                let model = Arc::new(m.clone());
-                self.least_cache.insert(
-                    c,
-                    CachedModel {
-                        model,
-                        epoch: self.epoch,
-                        view_version: vv,
-                    },
-                );
-            }
-            return eval;
-        }
-        let eval = if !opts.decomp {
-            let view = View::new(&self.ground, c);
-            least_model_monolithic_budgeted(&view, &opts.budget())
-        } else {
-            let mut cfg = self.morsel_cfg(opts.threads);
-            cfg.target_weight = opts.morsel_weight.max(1);
-            cfg.assume_definite = self.proved_definite(c);
-            let fv = self.flat(c);
-            // `threads <= 1` (and small programs) run the sequential
-            // flat path inside `least_model_morsel` verbatim.
-            least_model_morsel(&fv, &cfg, &opts.budget())
-        };
-        if let Eval::Complete(m) = &eval {
-            let model = Arc::new(m.clone());
-            self.least_cache.insert(
-                c,
-                CachedModel {
-                    model,
-                    epoch: self.epoch,
-                    view_version: vv,
-                },
-            );
-        }
-        eval
+        Ok(self.read_with(c, Ask::Least, opts).map(Answer::into_model))
     }
 
     /// Truth of a ground literal (e.g. `"fly(penguin)"` or
@@ -799,16 +664,9 @@ impl Kb {
     /// least (assumption-free) model. A negative query returns `True`
     /// when the negative literal is derivable.
     pub fn truth(&mut self, object: &str, query: &str) -> Result<Truth, KbError> {
-        let lit = parse_ground_literal(Arc::make_mut(&mut self.world), query)
-            .map_err(|_| KbError::NonGroundQuery(query.to_string()))?;
-        let m = self.model(object)?;
-        Ok(if m.holds(lit) {
-            Truth::True
-        } else if m.holds(lit.complement()) {
-            Truth::False
-        } else {
-            Truth::Undefined
-        })
+        let c = self.comp(object)?;
+        let lit = resolve::ground_literal(&self.world, query)?;
+        Ok(resolve::truth(&self.current_model(c), lit))
     }
 
     /// [`Kb::truth`] under [`QueryOptions`] limits.
@@ -823,17 +681,11 @@ impl Kb {
         query: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Truth>, KbError> {
-        let lit = parse_ground_literal(Arc::make_mut(&mut self.world), query)
-            .map_err(|_| KbError::NonGroundQuery(query.to_string()))?;
-        Ok(self.model_with(object, opts)?.map(|m| {
-            if m.holds(lit) {
-                Truth::True
-            } else if m.holds(lit.complement()) {
-                Truth::False
-            } else {
-                Truth::Undefined
-            }
-        }))
+        let c = self.comp(object)?;
+        let lit = resolve::ground_literal(&self.world, query)?;
+        Ok(self
+            .read_with(c, Ask::Least, opts)
+            .map(|a| resolve::truth(&a.into_model(), lit)))
     }
 
     /// Whether the query literal is derivably true in `object`.
@@ -859,8 +711,7 @@ impl Kb {
             None => return Ok(Vec::new()),
         };
         let c = self.comp(object)?;
-        self.ensure_model(c);
-        let m = &self.least_cache[&c].model;
+        let m = self.current_model(c);
         let mut out: Vec<String> = self
             .world
             .atoms
@@ -879,11 +730,10 @@ impl Kb {
     /// `var=term` pairs in first-occurrence order. A ground pattern
     /// returns one empty binding when it holds and nothing otherwise.
     pub fn query(&mut self, object: &str, pattern: &str) -> Result<Vec<String>, KbError> {
-        let lit = olp_parser::parse_literal(Arc::make_mut(&mut self.world), pattern)
-            .map_err(KbError::Parse)?;
+        let pattern = Pattern::parse(pattern)?;
         let c = self.comp(object)?;
-        self.ensure_model(c);
-        Ok(self.enumerate_bindings(&lit, &self.least_cache[&c].model))
+        let m = self.current_model(c);
+        Ok(pattern.bindings(&self.world, &m))
     }
 
     /// [`Kb::query`] under [`QueryOptions`] limits. On a partial
@@ -895,39 +745,11 @@ impl Kb {
         pattern: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<String>>, KbError> {
-        let lit = olp_parser::parse_literal(Arc::make_mut(&mut self.world), pattern)
-            .map_err(KbError::Parse)?;
-        let eval = self.model_with(object, opts)?;
-        Ok(eval.map(|m| self.enumerate_bindings(&lit, &m)))
-    }
-
-    /// Every binding of `lit`'s variables whose instance is true in
-    /// `m`, rendered `var=term` and sorted.
-    fn enumerate_bindings(&self, lit: &Literal, m: &Interpretation) -> Vec<String> {
-        let mut vars = Vec::new();
-        lit.collect_vars(&mut vars);
-        let mut out = Vec::new();
-        for &atom in self.world.atoms.of_pred(lit.pred) {
-            if !m.holds(olp_core::GLit::new(lit.sign, atom)) {
-                continue;
-            }
-            let args = &self.world.atoms.get(atom).args;
-            let mut b = olp_core::term::Bindings::default();
-            let matched = lit
-                .args
-                .iter()
-                .zip(args.iter())
-                .all(|(pat, &g)| pat.match_ground(g, &self.world.terms, &mut b));
-            if matched {
-                let binding: Vec<String> = vars
-                    .iter()
-                    .map(|v| format!("{}={}", self.world.syms.name(*v), self.world.term_str(b[v])))
-                    .collect();
-                out.push(binding.join(", "));
-            }
-        }
-        out.sort();
-        out
+        let pattern = Pattern::parse(pattern)?;
+        let c = self.comp(object)?;
+        Ok(self
+            .read_with(c, Ask::Least, opts)
+            .map(|a| pattern.bindings(&self.world, &a.into_model())))
     }
 
     /// Explains why `query` holds (a proof tree) or does not (the fate
@@ -936,10 +758,9 @@ impl Kb {
         let lit = parse_ground_literal(Arc::make_mut(&mut self.world), query)
             .map_err(|_| KbError::NonGroundQuery(query.to_string()))?;
         let c = self.comp(object)?;
-        self.ensure_model(c);
-        let m = &self.least_cache[&c].model;
+        let m = self.current_model(c);
         let view = View::new(&self.ground, c);
-        let why = olp_semantics::explain_in(&view, m, lit);
+        let why = olp_semantics::explain_in(&view, &m, lit);
         Ok(olp_semantics::render_why(&self.world, &view, &why))
     }
 
@@ -988,27 +809,6 @@ impl Kb {
         self.threads = threads.max(1);
     }
 
-    /// Target morsel weight used by parallel query evaluation.
-    pub fn morsel_weight(&self) -> u64 {
-        self.morsel_weight
-    }
-
-    /// Sets the target morsel weight for parallel query evaluation
-    /// (clamped to at least 1). Purely a scheduling knob; any value
-    /// yields identical answers.
-    pub fn set_morsel_weight(&mut self, weight: u64) {
-        self.morsel_weight = weight.max(1);
-    }
-
-    /// The morsel configuration for a `threads`-wide evaluation.
-    fn morsel_cfg(&self, threads: usize) -> MorselCfg {
-        MorselCfg {
-            threads,
-            target_weight: self.morsel_weight,
-            ..MorselCfg::default()
-        }
-    }
-
     /// The semantic profile of `object`'s view — stratification class,
     /// conflict-freedom, order-relevance, and per-predicate cardinality
     /// bounds ([`olp_analyze::component_profile`]). Cached per AST
@@ -1049,21 +849,6 @@ impl Kb {
     /// proptest compares byte-for-byte against.
     pub fn set_profile_guided(&mut self, on: bool) {
         self.profile_guided = on;
-    }
-
-    /// Profile-proved: `c`'s view is negation-free, so evaluation may
-    /// skip all blockedness/attack bookkeeping.
-    fn proved_definite(&mut self, c: CompId) -> bool {
-        self.profile_guided
-            && self
-                .profile_of(c)
-                .is_some_and(|p| p.strat == StratClass::NegationFree)
-    }
-
-    /// Profile-proved: `c`'s view has exactly one stable model — the
-    /// least model (conflict-free, or every attack stratified away).
-    fn proved_single_model(&mut self, c: CompId) -> bool {
-        self.profile_guided && self.profile_of(c).is_some_and(|p| p.single_model)
     }
 
     /// Installs `new_ground` as the current ground program. The exact
@@ -1205,54 +990,7 @@ impl Kb {
     ) -> Result<Eval<()>, KbError> {
         let c = self.comp(object)?;
         let r = parse_rule(Arc::make_mut(&mut self.world), src)?;
-        if opts.deny_warnings {
-            // Tentative AST-only application: analyze, then roll back
-            // before any grounding. `add_rule` records no span, so
-            // `pop_rule` restores the table exactly.
-            let before = analyze(&self.world, &self.prog);
-            Arc::make_mut(&mut self.prog).add_rule(c, r.clone());
-            let after = analyze(&self.world, &self.prog);
-            Arc::make_mut(&mut self.prog).pop_rule(c);
-            let new = findings_introduced(after, &before);
-            if !new.is_empty() {
-                return Err(KbError::Rejected(new));
-            }
-            // (`findings_introduced` already drops Info-severity notes —
-            // a mutation that merely changes a profile note must not be
-            // rejected under `deny_warnings`.)
-        }
-        let gov = opts.budget();
-        if self.is_incremental() {
-            self.ensure_delta()?;
-            let mut delta = self.delta.take().expect("ensure_delta installed one");
-            match delta.assert_rule(Arc::make_mut(&mut self.world), c, &r, &gov) {
-                Ok((id, gp)) => {
-                    Arc::make_mut(&mut self.prog).add_rule(c, r);
-                    self.delta_ids[c.index()].push(id);
-                    self.delta = Some(delta);
-                    self.commit(gp);
-                    self.note_ast_mutation(c);
-                    return Ok(Eval::Complete(()));
-                }
-                // Grounder state is unspecified after an error: leave
-                // `delta` as None and keep the pre-mutation KB intact.
-                Err(GroundError::Interrupted(reason)) => {
-                    return Ok(Eval::Interrupted(Interrupted {
-                        reason,
-                        partial: (),
-                    }))
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Arc::make_mut(&mut self.prog).add_rule(c, r);
-        let res = self.refresh_with(&gov);
-        if matches!(res, Ok(Eval::Complete(()))) {
-            self.note_ast_mutation(c);
-        } else {
-            Arc::make_mut(&mut self.prog).pop_rule(c);
-        }
-        res
+        self.edit(c, Edit::Add(r), opts)
     }
 
     /// Retracts the first rule of `object` equal to `src` after parsing
@@ -1283,86 +1021,117 @@ impl Kb {
         let Some(i) = pos else {
             return Ok(Eval::Complete(false));
         };
+        Ok(match self.edit(c, Edit::Remove(i), opts)? {
+            Eval::Complete(()) => Eval::Complete(true),
+            Eval::Interrupted(i) => Eval::Interrupted(Interrupted {
+                reason: i.reason,
+                partial: false,
+            }),
+        })
+    }
+
+    /// Applies one rule edit to component `c`: the `deny_warnings` gate,
+    /// then incremental re-grounding through the delta grounder, or a
+    /// full re-ground. On `Interrupted` or an error the edit is **not
+    /// applied**; an incremental attempt that trips also drops the
+    /// delta grounder (its state is unspecified after an error), and
+    /// the next mutation rebuilds it from the unchanged program.
+    fn edit(&mut self, c: CompId, edit: Edit, opts: &QueryOptions) -> Result<Eval<()>, KbError> {
         if opts.deny_warnings {
-            // Retraction can also introduce findings (e.g. removing the
-            // last definition of a predicate others depend on makes
-            // their rules W02). Tentative removal + rollback, with the
-            // removed rule's span saved and restored.
+            // Tentative AST-only application: analyze, then roll back
+            // before any grounding. Retraction can introduce findings
+            // too (removing the last definition of a predicate others
+            // depend on makes their rules W02). `findings_introduced`
+            // drops Info-severity notes: a mutation that merely changes
+            // a profile note is not rejected.
             let before = analyze(&self.world, &self.prog);
-            let saved_span = self.prog.spans.rule(c.index(), i).cloned();
-            let removed = Arc::make_mut(&mut self.prog).remove_rule(c, i);
+            let undo = self.apply_ast(c, &edit);
             let after = analyze(&self.world, &self.prog);
-            Arc::make_mut(&mut self.prog).insert_rule(c, i, removed);
-            if let Some(span) = saved_span {
-                Arc::make_mut(&mut self.prog)
-                    .spans
-                    .set_rule(c.index(), i, span);
-            }
+            self.undo_ast(c, undo);
             let new = findings_introduced(after, &before);
             if !new.is_empty() {
                 return Err(KbError::Rejected(new));
             }
         }
         let gov = opts.budget();
-        if self.is_incremental() {
-            self.ensure_delta()?;
-            let mut delta = self.delta.take().expect("ensure_delta installed one");
-            let id = self.delta_ids[c.index()][i];
-            match delta.retract_rule(Arc::make_mut(&mut self.world), id, &gov) {
-                Ok(gp) => {
-                    Arc::make_mut(&mut self.prog).remove_rule(c, i);
-                    self.delta_ids[c.index()].remove(i);
-                    self.delta = Some(delta);
-                    self.commit(gp);
-                    self.note_ast_mutation(c);
-                    return Ok(Eval::Complete(true));
-                }
-                Err(GroundError::Interrupted(reason)) => {
-                    return Ok(Eval::Interrupted(Interrupted {
-                        reason,
-                        partial: false,
-                    }))
-                }
-                Err(e) => return Err(e.into()),
+        if !self.is_incremental() {
+            let undo = self.apply_ast(c, &edit);
+            let res = self.refresh_with(&gov);
+            if matches!(res, Ok(Eval::Complete(()))) {
+                self.note_ast_mutation(c);
+            } else {
+                self.undo_ast(c, undo);
             }
+            return res;
         }
-        let saved_span = self.prog.spans.rule(c.index(), i).cloned();
-        let removed = Arc::make_mut(&mut self.prog).remove_rule(c, i);
-        let res = self.refresh_with(&gov);
-        if matches!(res, Ok(Eval::Complete(()))) {
-            self.note_ast_mutation(c);
-        } else {
-            Arc::make_mut(&mut self.prog).insert_rule(c, i, removed);
-            if let Some(span) = saved_span {
-                Arc::make_mut(&mut self.prog)
-                    .spans
-                    .set_rule(c.index(), i, span);
-            }
-        }
+        self.ensure_delta()?;
+        let mut delta = self.delta.take().expect("ensure_delta installed one");
+        let world = Arc::make_mut(&mut self.world);
+        let ids = &mut self.delta_ids[c.index()];
+        let res = match &edit {
+            Edit::Add(r) => delta.assert_rule(world, c, r, &gov).map(|(id, gp)| {
+                ids.push(id);
+                gp
+            }),
+            Edit::Remove(i) => delta.retract_rule(world, ids[*i], &gov).inspect(|_| {
+                ids.remove(*i);
+            }),
+        };
         match res {
-            Ok(Eval::Complete(())) => Ok(Eval::Complete(true)),
-            Ok(Eval::Interrupted(i)) => Ok(Eval::Interrupted(Interrupted {
-                reason: i.reason,
-                partial: false,
+            Ok(gp) => {
+                self.apply_ast(c, &edit);
+                self.delta = Some(delta);
+                self.commit(gp);
+                self.note_ast_mutation(c);
+                Ok(Eval::Complete(()))
+            }
+            Err(GroundError::Interrupted(reason)) => Ok(Eval::Interrupted(Interrupted {
+                reason,
+                partial: (),
             })),
-            Err(e) => Err(e),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Applies `edit` to the ordered program only, returning its undo.
+    fn apply_ast(&mut self, c: CompId, edit: &Edit) -> Undo {
+        let prog = Arc::make_mut(&mut self.prog);
+        match edit {
+            Edit::Add(r) => {
+                prog.add_rule(c, r.clone());
+                Undo::Pop
+            }
+            Edit::Remove(i) => {
+                let span = prog.spans.rule(c.index(), *i).cloned();
+                Undo::Insert(*i, prog.remove_rule(c, *i), span)
+            }
+        }
+    }
+
+    /// Reverts [`Kb::apply_ast`], the removed rule's span included
+    /// (`add_rule` records no span, so popping restores the table).
+    fn undo_ast(&mut self, c: CompId, undo: Undo) {
+        let prog = Arc::make_mut(&mut self.prog);
+        match undo {
+            Undo::Pop => {
+                prog.pop_rule(c);
+            }
+            Undo::Insert(i, rule, span) => {
+                prog.insert_rule(c, i, rule);
+                if let Some(span) = span {
+                    prog.spans.set_rule(c.index(), i, span);
+                }
+            }
         }
     }
 
     /// The skeptical consequences in `object`: literals true in every
-    /// stable model (exponential; see
-    /// [`olp_semantics::skeptical_consequences`]).
+    /// stable model (exponential unless the profile proves a single
+    /// stable model; see [`olp_semantics::skeptical_consequences`]).
     pub fn skeptical(&mut self, object: &str) -> Result<Interpretation, KbError> {
         let c = self.comp(object)?;
-        if self.proved_single_model(c) {
-            // Profile fast path: one stable model, so the skeptical
-            // consequences are exactly the least model.
-            self.ensure_model(c);
-            return Ok(self.least_cache[&c].model.as_ref().clone());
-        }
-        Ok(olp_semantics::skeptical_consequences(
-            &View::new(&self.ground, c),
-            self.ground.n_atoms,
+        Ok(Arc::unwrap_or_clone(
+            self.read_complete(c, Ask::Skeptical).into_model(),
         ))
     }
 
@@ -1381,35 +1150,40 @@ impl Kb {
         opts: &QueryOptions,
     ) -> Result<Eval<Interpretation>, KbError> {
         let c = self.comp(object)?;
-        if opts.decomp && self.proved_single_model(c) {
-            return Ok(self.model_eval(c, opts));
-        }
-        Ok(olp_semantics::skeptical_consequences_budgeted(
-            &View::new(&self.ground, c),
-            self.ground.n_atoms,
-            &opts.budget(),
-        ))
+        Ok(self
+            .read_with(c, Ask::Skeptical, opts)
+            .map(|a| Arc::unwrap_or_clone(a.into_model())))
+    }
+
+    /// The credulous consequences in `object` under [`QueryOptions`]
+    /// limits: literals true in some stable model, as a sorted literal
+    /// list (the union may contain complementary literals).
+    ///
+    /// **Anytime guarantee:** every literal in a partial result holds
+    /// in some explored assumption-free model that is maximal among
+    /// those explored (on the single-model fast path: in a prefix of
+    /// the least model), so a partial credulous set under-approximates.
+    pub fn credulous_with(
+        &mut self,
+        object: &str,
+        opts: &QueryOptions,
+    ) -> Result<Eval<Vec<GLit>>, KbError> {
+        let c = self.comp(object)?;
+        Ok(self
+            .read_with(c, Ask::Credulous, opts)
+            .map(Answer::into_literals))
     }
 
     /// The stable models of the program in `object` (Definition 9).
     /// Exponential in the contested part; use for choice-style KBs.
-    /// Independent rule groups are memoised per object: after a
-    /// mutation, groups whose rule instances did not change answer from
-    /// the cache.
+    /// A view the profile proves single-model answers from the least
+    /// model; the complete answer is memoised per view version, and
+    /// independent rule groups are memoised per object, so after a
+    /// mutation groups whose rule instances did not change answer from
+    /// the memo.
     pub fn stable(&mut self, object: &str) -> Result<Vec<Interpretation>, KbError> {
         let c = self.comp(object)?;
-        if self.proved_single_model(c) {
-            // Profile fast path: the view is conflict-free or
-            // stratified, so the unique stable model is the least model
-            // — one fixpoint instead of assumption-set enumeration plus
-            // maximality filtering. Differentially tested byte-identical
-            // to the general engine (`profile_fastpath_matches_general`).
-            self.ensure_model(c);
-            return Ok(vec![self.least_cache[&c].model.as_ref().clone()]);
-        }
-        Ok(self
-            .stable_cached(c, &Budget::unlimited(), None)
-            .expect_complete("unlimited stable enumeration cannot be interrupted"))
+        Ok(self.read_complete(c, Ask::Stable).into_models())
     }
 
     /// [`Kb::stable`] under [`QueryOptions`] limits (including
@@ -1422,80 +1196,9 @@ impl Kb {
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        // Profile fast path: provably exactly one stable model — the
-        // least model. `no_decomp` stays on the general engine (it is
-        // the differential baseline), and a cap below 2 keeps the
-        // general truncation semantics (`Interrupted(ModelCap)`).
-        if opts.decomp && opts.max_models.is_none_or(|cap| cap >= 2) && self.proved_single_model(c)
-        {
-            return Ok(match self.model_eval(c, opts) {
-                Eval::Complete(m) => Eval::Complete(vec![m]),
-                // A partial least model is not a stable model: report
-                // the interruption with no models, like a search that
-                // tripped before its first complete model.
-                Eval::Interrupted(i) => Eval::Interrupted(Interrupted {
-                    reason: i.reason,
-                    partial: Vec::new(),
-                }),
-            });
-        }
-        Ok(if !opts.decomp {
-            stable_models_monolithic_budgeted(
-                &View::new(&self.ground, c),
-                self.ground.n_atoms,
-                &opts.budget(),
-                opts.max_models,
-            )
-        } else if opts.threads > 1 {
-            // Parallel enumeration explores independent rule groups (or
-            // propagated search prefixes) on worker threads; budgeted
-            // maximality filtering afterwards yields the same stable set
-            // as the sequential engine. This path skips the per-group
-            // memo.
-            stable_models_parallel_budgeted(
-                &View::new(&self.ground, c),
-                self.ground.n_atoms,
-                opts.threads,
-                &opts.budget(),
-                opts.max_models,
-            )
-        } else {
-            self.stable_cached(c, &opts.budget(), opts.max_models)
-        })
-    }
-
-    /// Decomposed stable enumeration through two layers of memoisation:
-    /// a whole-result memo keyed by view version (O(1) when no visible
-    /// rule changed since the last complete, uncapped enumeration) and
-    /// the per-group memo (bounded by [`STABLE_CACHE_CAP`]) that reuses
-    /// unchanged independent rule groups when one did.
-    fn stable_cached(
-        &mut self,
-        c: CompId,
-        budget: &Budget,
-        max_models: Option<usize>,
-    ) -> Eval<Vec<Interpretation>> {
-        let vv = self.view_version(c);
-        if max_models.is_none() {
-            if let Some((v, models)) = self.stable_results.get(&c) {
-                if *v == vv {
-                    return Eval::Complete(models.clone());
-                }
-            }
-        }
-        let cache = self.stable_cache.entry(c).or_default();
-        let view = View::new(&self.ground, c);
-        let eval =
-            stable_models_decomposed_cached(&view, self.ground.n_atoms, budget, max_models, cache);
-        if cache.len() > STABLE_CACHE_CAP {
-            cache.clear();
-        }
-        if max_models.is_none() {
-            if let Eval::Complete(models) = &eval {
-                self.stable_results.insert(c, (vv, models.clone()));
-            }
-        }
-        eval
+        Ok(self
+            .read_with(c, Ask::Stable, opts)
+            .map(Answer::into_models))
     }
 
     /// Differences between two objects' least models: the literals on
@@ -1503,13 +1206,10 @@ impl Kb {
     /// `atom: <truth in a> -> <truth in b>`, sorted. The versioning
     /// use-case (§5): `kb.diff("v2", "v3")` is the semantic changelog.
     pub fn diff(&mut self, a: &str, b: &str) -> Result<Vec<String>, KbError> {
-        // Materialise both models (cached).
-        self.model(a)?;
-        self.model(b)?;
         let ca = self.comp(a)?;
         let cb = self.comp(b)?;
-        let ma = self.least_cache[&ca].model.clone();
-        let mb = &self.least_cache[&cb].model;
+        let ma = self.current_model(ca);
+        let mb = self.current_model(cb);
         let mut out = Vec::new();
         for i in 0..self.ground.n_atoms {
             let atom = olp_core::AtomId(i as u32);
@@ -1537,7 +1237,8 @@ impl Kb {
     pub fn plan_report(&self, object: &str) -> Result<String, KbError> {
         let c = self.comp(object)?;
         let fv = FlatView::new(&self.ground, c);
-        let morsels = fv.morsels(self.morsel_weight);
+        let weight = MorselCfg::default().target_weight;
+        let morsels = fv.morsels(weight);
         let mut out = format!(
             "plan for `{object}`: {} ground rules in {} strata over {} levels\n\
              schedule: {} morsel{} @ target weight {}, {} thread{}\n",
@@ -1546,7 +1247,7 @@ impl Kb {
             fv.n_levels(),
             morsels.len(),
             if morsels.len() == 1 { "" } else { "s" },
-            self.morsel_weight,
+            weight,
             self.threads,
             if self.threads == 1 { "" } else { "s" },
         );
@@ -1557,11 +1258,7 @@ impl Kb {
     /// The names of all objects in the knowledge base, in declaration
     /// order.
     pub fn objects(&self) -> Vec<&str> {
-        self.prog
-            .components
-            .iter()
-            .map(|c| self.world.syms.name(c.name))
-            .collect()
+        resolve::objects(&self.world, &self.prog)
     }
 
     /// Read-only world access.
@@ -1613,7 +1310,6 @@ impl Kb {
             self.ground.clone(),
             self.epoch,
             self.threads,
-            self.morsel_weight,
             self.flat_cache.clone(),
             models,
             profiles,
@@ -1639,7 +1335,7 @@ impl Kb {
     pub fn revalidate_cached_models(&mut self) {
         let comps: Vec<CompId> = self.least_cache.keys().copied().collect();
         for c in comps {
-            self.ensure_model(c);
+            self.current_model(c);
         }
     }
 
@@ -1663,7 +1359,7 @@ impl Kb {
     #[doc(hidden)]
     pub fn flat_view(&mut self, object: &str) -> Result<Arc<FlatView>, KbError> {
         let c = self.comp(object)?;
-        Ok(self.flat(c))
+        Ok(Caches::flat(self, c))
     }
 
     /// Reassembles a KB from already-grounded parts — a decoded
@@ -1697,18 +1393,111 @@ impl Kb {
             view_version: vec![0; n_comps],
             ast_version: vec![0; n_comps],
             threads: default_threads(),
-            morsel_weight: default_morsel_weight(),
             profiles: FxHashMap::default(),
             profile_guided: true,
         }
     }
 }
 
+/// The caches a [`Kb`] lends the evaluation front door: the
+/// epoch-tagged least models, the maintained flat arenas, the
+/// view-versioned stable memo, and the per-group memo.
+impl Caches for Kb {
+    fn ground(&self) -> Arc<GroundProgram> {
+        self.ground.clone()
+    }
+
+    fn proofs(&mut self, c: CompId) -> Proofs {
+        if !self.profile_guided {
+            return Proofs::default();
+        }
+        Proofs::of(self.profile_of(c).as_deref())
+    }
+
+    fn least(&self, c: CompId) -> Cached {
+        match self.least_cache.get(&c) {
+            None => Cached::Absent,
+            Some(e) if e.epoch == self.epoch => Cached::Current(e.model.clone()),
+            // Mutations happened, but none changed a rule visible from
+            // `c`: the cached model is exact at this epoch.
+            Some(e) if e.view_version == self.view_version(c) => Cached::Unchanged(e.model.clone()),
+            Some(e) => Cached::Moved {
+                model: e.model.clone(),
+                since: e.epoch,
+            },
+        }
+    }
+
+    /// The compiled flat arena for component `c` at the current epoch,
+    /// built at most once per epoch. [`Kb::commit`] keeps the cache
+    /// warm across mutations — untouched components keep their arena,
+    /// touched ones get a spliced patch, and only an SCC-reshaping
+    /// change falls back to this lazy rebuild; snapshots receive the
+    /// same `Arc`s for free.
+    fn flat(&mut self, c: CompId) -> Arc<FlatView> {
+        if let Some(fv) = self.flat_cache.get(&c) {
+            return fv.clone();
+        }
+        let fv = Arc::new(FlatView::new(&self.ground, c));
+        self.flat_cache.insert(c, fv.clone());
+        fv
+    }
+
+    fn store_least(&mut self, c: CompId, model: Arc<Interpretation>) {
+        let entry = CachedModel {
+            model,
+            epoch: self.epoch,
+            view_version: self.view_version(c),
+        };
+        self.least_cache.insert(c, entry);
+    }
+
+    fn retag(&mut self, c: CompId) {
+        if let Some(e) = self.least_cache.get_mut(&c) {
+            e.epoch = self.epoch;
+        }
+    }
+
+    /// The union of atoms touched by every mutation since epoch
+    /// `since`, as sorted dense indices.
+    fn touched_since(&self, since: u64) -> Vec<usize> {
+        let mut set: FxHashSet<usize> = FxHashSet::default();
+        for v in &self.touched_log[since as usize..] {
+            set.extend(v.iter().copied());
+        }
+        let mut out: Vec<usize> = set.into_iter().collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn stable_memo(&self, c: CompId) -> Option<&[Interpretation]> {
+        self.stable_results
+            .get(&c)
+            .filter(|(v, _)| *v == self.view_version(c))
+            .map(|(_, models)| models.as_slice())
+    }
+
+    fn store_stable(&mut self, c: CompId, models: &[Interpretation]) {
+        let vv = self.view_version(c);
+        self.stable_results.insert(c, (vv, models.to_vec()));
+    }
+
+    fn with_group_memo<R>(&mut self, c: CompId, f: impl FnOnce(Option<&mut GroupMemo>) -> R) -> R {
+        let memo = self.stable_cache.entry(c).or_default();
+        let r = f(Some(memo));
+        if memo.len() > STABLE_CACHE_CAP {
+            memo.clear();
+        }
+        r
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn penguin_kb(strategy: GroundStrategy) -> Kb {
+    /// Fig. 1 as a KB: `penguin_view` isa `bird`.
+    pub(crate) fn penguin_kb(strategy: GroundStrategy) -> Kb {
         let mut b = KbBuilder::new();
         b.rules(
             "bird",
@@ -1965,32 +1754,6 @@ mod tests {
         for m in capped.value() {
             // Every partial member is a genuine assumption-free model.
             assert!(all.iter().any(|full| m.is_subset(full)));
-        }
-    }
-
-    #[test]
-    fn no_decomp_matches_default_engines() {
-        // Two fresh KBs so the least-model cache can't mask the engine
-        // choice.
-        let mut mono = penguin_kb(GroundStrategy::Smart);
-        let mut dec = penguin_kb(GroundStrategy::Smart);
-        let m_mono = mono
-            .model_with("penguin_view", &QueryOptions::new().no_decomp())
-            .unwrap();
-        let m_dec = dec
-            .model_with("penguin_view", &QueryOptions::new())
-            .unwrap();
-        assert!(m_mono.is_complete() && m_dec.is_complete());
-        assert_eq!(m_mono.value(), m_dec.value());
-        let st_mono = mono
-            .stable_with("penguin_view", &QueryOptions::new().no_decomp())
-            .unwrap();
-        let st_dec = dec
-            .stable_with("penguin_view", &QueryOptions::new())
-            .unwrap();
-        assert_eq!(st_mono.value().len(), st_dec.value().len());
-        for m in st_mono.value() {
-            assert!(st_dec.value().contains(m));
         }
     }
 
@@ -2270,6 +2033,66 @@ mod tests {
             kb.truth("penguin_view", "fly(ostrich)").unwrap(),
             Truth::True
         );
+    }
+
+    /// The engine path an unbudgeted one-thread read of `object` takes.
+    fn path_of(kb: &mut Kb, object: &str, ask: Ask) -> eval::EnginePath {
+        let c = kb.comp(object).unwrap();
+        let lim = Limits {
+            budget: &Budget::unlimited(),
+            max_models: None,
+            threads: 1,
+        };
+        eval::read(kb, c, ask, &lim).0
+    }
+
+    #[test]
+    fn penguin_reads_take_the_planned_engine_paths() {
+        use eval::EnginePath::SingleModel;
+        use eval::LeastPath::{CacheHit, Delta, Fixpoint, Retag};
+        let mut b = KbBuilder::new();
+        b.rules(
+            "bird",
+            "bird(penguin). bird(pigeon).
+             fly(X) :- bird(X).
+             -ground_animal(X) :- bird(X).",
+        )
+        .unwrap();
+        b.isa("penguin_view", "bird");
+        b.rules(
+            "penguin_view",
+            "ground_animal(penguin). -fly(X) :- ground_animal(X).",
+        )
+        .unwrap();
+        b.rules("island", "q(a).").unwrap();
+        let mut kb = b.build(GroundStrategy::Smart).unwrap();
+        // A penguin `stable` read takes the profile fast path…
+        assert_eq!(
+            path_of(&mut kb, "penguin_view", Ask::Stable),
+            SingleModel(Fixpoint)
+        );
+        // …and a repeat is a cache hit.
+        assert_eq!(
+            path_of(&mut kb, "penguin_view", Ask::Stable),
+            SingleModel(CacheHit)
+        );
+        let c = kb.comp("penguin_view").unwrap();
+        let model = kb.least_cache[&c].model.clone();
+        // An unrelated assert re-tags the cached model without
+        // re-evaluating it…
+        kb.assert_rule("island", "q(b).").unwrap();
+        assert_eq!(
+            path_of(&mut kb, "penguin_view", Ask::Stable),
+            SingleModel(Retag)
+        );
+        assert!(Arc::ptr_eq(&model, &kb.least_cache[&c].model));
+        // …while a visible one revalidates by delta.
+        kb.assert_rule("bird", "bird(robin).").unwrap();
+        assert_eq!(
+            path_of(&mut kb, "penguin_view", Ask::Stable),
+            SingleModel(Delta)
+        );
+        assert_eq!(kb.truth("penguin_view", "fly(robin)").unwrap(), Truth::True);
     }
 
     #[test]

@@ -31,14 +31,15 @@
 #![warn(missing_docs)]
 
 pub mod durable;
+mod eval;
 pub mod kb;
 pub mod relation;
+mod resolve;
 pub mod snapshot;
 
 pub use durable::{DurableKb, RecoveryReport};
-pub use kb::{
-    default_morsel_weight, default_threads, GroundStrategy, Kb, KbBuilder, KbError, QueryOptions,
-};
+pub use eval::{Answer, Ask};
+pub use kb::{default_threads, GroundStrategy, Kb, KbBuilder, KbError, QueryOptions};
 pub use olp_core::{Budget, Eval, InterruptReason, Interrupted};
 pub use olp_store::{Durability, StoreError};
 pub use relation::{ArityMismatch, Relation};

@@ -7,37 +7,19 @@
 //! type is `Send + Sync`, so any number of threads evaluate
 //! concurrently against one snapshot while a single writer mutates the
 //! live KB and publishes the next epoch — readers never block on a
-//! writer and never observe a half-applied mutation.
-//!
-//! ## Read-only query resolution
-//!
-//! The parser interns as it goes, which is why [`crate::Kb`] queries
-//! take `&mut self`. A snapshot instead parses query text into a
-//! private scratch [`World`] and *translates* the result into the
-//! frozen world through read-only lookups ([`SymbolTable::get`],
-//! [`TermStore::lookup`], [`AtomStore::get_id`]). A ground query whose
-//! atom was never materialised at this epoch resolves to `Undefined` —
-//! exactly what the mutable path answers after interning a fresh,
-//! never-derivable atom — so snapshot answers are byte-identical to a
-//! sequential [`crate::Kb`] evaluated at the same epoch.
-//!
-//! [`SymbolTable::get`]: olp_core::SymbolTable::get
-//! [`TermStore::lookup`]: olp_core::TermStore::lookup
-//! [`AtomStore::get_id`]: olp_core::AtomStore::get_id
+//! writer and never observe a half-applied mutation. Queries resolve
+//! against the frozen world without interning and evaluate through the
+//! same front door as the live KB ([`crate::Kb::read`]), so snapshot
+//! answers are byte-identical to a sequential [`crate::Kb`] evaluated
+//! at the same epoch.
 
+use crate::eval::{self, Answer, Ask, Cached, Caches, Limits, Proofs};
 use crate::kb::{KbError, QueryOptions};
+use crate::resolve::{self, Pattern};
 use olp_analyze::ComponentProfile;
-use olp_core::{
-    CompId, Eval, FxHashMap, GLit, GTerm, GTermId, Interpretation, Interrupted, Literal, Sym, Term,
-    Truth, World,
-};
+use olp_core::{CompId, Eval, FxHashMap, GLit, Interpretation, Truth, World};
 use olp_ground::{FlatView, GroundProgram};
-use olp_parser::{parse_ground_literal, parse_literal};
-use olp_semantics::{
-    credulous_consequences_budgeted, least_model_monolithic_budgeted, least_model_morsel,
-    skeptical_consequences_budgeted, stable_models_decomposed_budgeted,
-    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, MorselCfg, View,
-};
+use olp_semantics::View;
 use std::sync::{Arc, Mutex};
 
 /// An immutable view of a knowledge base frozen at one epoch.
@@ -54,7 +36,6 @@ pub struct KbSnapshot {
     ground: Arc<GroundProgram>,
     epoch: u64,
     threads: usize,
-    morsel_weight: u64,
     /// Compiled flat arenas, seeded from the publishing KB's
     /// current-epoch cache and extended on demand.
     flat: Mutex<FxHashMap<CompId, Arc<FlatView>>>,
@@ -78,7 +59,6 @@ impl KbSnapshot {
         ground: Arc<GroundProgram>,
         epoch: u64,
         threads: usize,
-        morsel_weight: u64,
         flat: FxHashMap<CompId, Arc<FlatView>>,
         models: FxHashMap<CompId, Arc<Interpretation>>,
         profiles: FxHashMap<CompId, Arc<ComponentProfile>>,
@@ -89,7 +69,6 @@ impl KbSnapshot {
             ground,
             epoch,
             threads,
-            morsel_weight,
             flat: Mutex::new(flat),
             models: Mutex::new(models),
             profiles,
@@ -124,21 +103,15 @@ impl KbSnapshot {
         self.epoch
     }
 
-    /// Query options with this snapshot's default thread count and
-    /// morsel weight (inherited from the publishing KB).
+    /// Query options with this snapshot's default thread count
+    /// (inherited from the publishing KB).
     pub fn default_opts(&self) -> QueryOptions {
-        QueryOptions::new()
-            .threads(self.threads)
-            .morsel_weight(self.morsel_weight)
+        QueryOptions::new().threads(self.threads)
     }
 
     /// The names of all objects, in declaration order.
     pub fn objects(&self) -> Vec<&str> {
-        self.prog
-            .components
-            .iter()
-            .map(|c| self.world.syms.name(c.name))
-            .collect()
+        resolve::objects(&self.world, &self.prog)
     }
 
     /// Read-only world access.
@@ -167,66 +140,24 @@ impl KbSnapshot {
     }
 
     fn comp(&self, object: &str) -> Result<CompId, KbError> {
-        let sym = self
-            .world
-            .syms
-            .get(object)
-            .ok_or_else(|| KbError::UnknownObject(object.to_string()))?;
-        self.prog
-            .component_by_name(sym)
-            .ok_or_else(|| KbError::UnknownObject(object.to_string()))
+        resolve::component(&self.world, &self.prog, object)
     }
 
-    /// The compiled flat arena for `c`, built at most once per snapshot
-    /// (racing readers may both build; the insert is idempotent because
-    /// construction is deterministic).
-    fn flat(&self, c: CompId) -> Arc<FlatView> {
-        if let Some(fv) = self.flat.lock().expect("flat cache poisoned").get(&c) {
-            return fv.clone();
-        }
-        let fv = Arc::new(FlatView::new(&self.ground, c));
-        self.flat
-            .lock()
-            .expect("flat cache poisoned")
-            .entry(c)
-            .or_insert(fv)
-            .clone()
-    }
-
-    /// The least model of component `c` under `opts`, memoised on
-    /// completion. Mirrors [`crate::Kb::model_with`]'s fresh-computation
-    /// paths; every engine returns identical answers, so which one runs
-    /// is invisible in the result.
-    fn model_eval(&self, c: CompId, opts: &QueryOptions) -> Eval<Arc<Interpretation>> {
-        if let Some(m) = self.models.lock().expect("model cache poisoned").get(&c) {
-            return Eval::Complete(m.clone());
-        }
-        let eval = if !opts.decomp {
-            least_model_monolithic_budgeted(&View::new(&self.ground, c), &opts.budget())
-        } else {
-            let fv = self.flat(c);
-            let cfg = MorselCfg {
-                threads: opts.threads,
-                target_weight: opts.morsel_weight.max(1),
-                ..MorselCfg::default()
-            };
-            least_model_morsel(&fv, &cfg, &opts.budget())
+    /// Plans and runs one read of `c` under `opts` through the
+    /// evaluation front door ([`crate::eval`]).
+    fn read(&self, c: CompId, ask: Ask, opts: &QueryOptions) -> Eval<Answer> {
+        let lim = Limits {
+            budget: &opts.budget(),
+            max_models: opts.max_models,
+            threads: opts.threads,
         };
-        match eval {
-            Eval::Complete(m) => {
-                let m = Arc::new(m);
-                self.models
-                    .lock()
-                    .expect("model cache poisoned")
-                    .entry(c)
-                    .or_insert_with(|| m.clone());
-                Eval::Complete(m)
-            }
-            Eval::Interrupted(i) => Eval::Interrupted(olp_core::Interrupted {
-                reason: i.reason,
-                partial: Arc::new(i.partial),
-            }),
-        }
+        let mut caches = self;
+        eval::read(&mut caches, c, ask, &lim).1
+    }
+
+    /// The least model of `c` under `opts`, memoised on completion.
+    fn model_eval(&self, c: CompId, opts: &QueryOptions) -> Eval<Arc<Interpretation>> {
+        self.read(c, Ask::Least, opts).map(Answer::into_model)
     }
 
     /// The least model of the program in `object` under `opts`. Partial
@@ -242,10 +173,8 @@ impl KbSnapshot {
     }
 
     /// Truth of a ground literal in `object`'s least model under
-    /// `opts`. Byte-identical to [`crate::Kb::truth_with`] at the same
-    /// epoch: an atom unknown to this snapshot's world is `Undefined`,
-    /// which is also what the interning path answers for a fresh,
-    /// never-derivable atom.
+    /// `opts`, as [`crate::Kb::truth_with`] answers it at the same
+    /// epoch (an atom unknown to this snapshot's world is `Undefined`).
     pub fn truth_with(
         &self,
         object: &str,
@@ -253,19 +182,8 @@ impl KbSnapshot {
         opts: &QueryOptions,
     ) -> Result<Eval<Truth>, KbError> {
         let c = self.comp(object)?;
-        let lit = self.resolve_ground(query)?;
-        Ok(self.model_eval(c, opts).map(|m| match lit {
-            None => Truth::Undefined,
-            Some(l) => {
-                if m.holds(l) {
-                    Truth::True
-                } else if m.holds(l.complement()) {
-                    Truth::False
-                } else {
-                    Truth::Undefined
-                }
-            }
-        }))
+        let lit = resolve::ground_literal(&self.world, query)?;
+        Ok(self.model_eval(c, opts).map(|m| resolve::truth(&m, lit)))
     }
 
     /// Answers a (possibly non-ground) query pattern against `object`'s
@@ -279,61 +197,23 @@ impl KbSnapshot {
         pattern: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<String>>, KbError> {
-        let mut scratch = World::new();
-        let lit = parse_literal(&mut scratch, pattern).map_err(KbError::Parse)?;
+        let pattern = Pattern::parse(pattern)?;
         let c = self.comp(object)?;
         Ok(self
             .model_eval(c, opts)
-            .map(|m| self.enumerate_bindings(&scratch, &lit, &m)))
+            .map(|m| pattern.bindings(&self.world, &m)))
     }
 
     /// The stable models of the program in `object` under `opts`
-    /// (including `max_models`). Engine choice mirrors
-    /// [`crate::Kb::stable_with`] minus the mutable per-group memo.
+    /// (including `max_models`), with [`crate::Kb::stable_with`]'s
+    /// partial-result contract.
     pub fn stable_with(
         &self,
         object: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        // Profile fast path, mirroring [`crate::Kb::stable_with`]: a
-        // frozen profile proving the view single-model collapses stable
-        // enumeration to the least model.
-        if opts.decomp
-            && opts.max_models.is_none_or(|cap| cap >= 2)
-            && self.profiles.get(&c).is_some_and(|p| p.single_model)
-        {
-            return Ok(match self.model_eval(c, opts) {
-                Eval::Complete(m) => Eval::Complete(vec![m.as_ref().clone()]),
-                Eval::Interrupted(i) => Eval::Interrupted(Interrupted {
-                    reason: i.reason,
-                    partial: Vec::new(),
-                }),
-            });
-        }
-        Ok(if !opts.decomp {
-            stable_models_monolithic_budgeted(
-                &View::new(&self.ground, c),
-                self.ground.n_atoms,
-                &opts.budget(),
-                opts.max_models,
-            )
-        } else if opts.threads > 1 {
-            stable_models_parallel_budgeted(
-                &View::new(&self.ground, c),
-                self.ground.n_atoms,
-                opts.threads,
-                &opts.budget(),
-                opts.max_models,
-            )
-        } else {
-            stable_models_decomposed_budgeted(
-                &View::new(&self.ground, c),
-                self.ground.n_atoms,
-                &opts.budget(),
-                opts.max_models,
-            )
-        })
+        Ok(self.read(c, Ask::Stable, opts).map(Answer::into_models))
     }
 
     /// The skeptical consequences in `object` (true in every stable
@@ -345,31 +225,23 @@ impl KbSnapshot {
         opts: &QueryOptions,
     ) -> Result<Eval<Interpretation>, KbError> {
         let c = self.comp(object)?;
-        if opts.decomp && self.profiles.get(&c).is_some_and(|p| p.single_model) {
-            // One stable model: the skeptical consequences are the
-            // least model (partial results under-approximate here).
-            return Ok(self.model_eval(c, opts).map(|m| m.as_ref().clone()));
-        }
-        Ok(skeptical_consequences_budgeted(
-            &View::new(&self.ground, c),
-            self.ground.n_atoms,
-            &opts.budget(),
-        ))
+        Ok(self
+            .read(c, Ask::Skeptical, opts)
+            .map(|a| Arc::unwrap_or_clone(a.into_model())))
     }
 
     /// The credulous consequences in `object` (true in some stable
-    /// model) under `opts`, as a sorted literal list.
+    /// model) under `opts`, as a sorted literal list, with
+    /// [`crate::Kb::credulous_with`]'s partial-result contract.
     pub fn credulous_with(
         &self,
         object: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<GLit>>, KbError> {
         let c = self.comp(object)?;
-        Ok(credulous_consequences_budgeted(
-            &View::new(&self.ground, c),
-            self.ground.n_atoms,
-            &opts.budget(),
-        ))
+        Ok(self
+            .read(c, Ask::Credulous, opts)
+            .map(Answer::into_literals))
     }
 
     /// Explains why `query` holds (a proof tree) or does not (the fate
@@ -383,7 +255,7 @@ impl KbSnapshot {
         opts: &QueryOptions,
     ) -> Result<Eval<String>, KbError> {
         let c = self.comp(object)?;
-        let Some(lit) = self.resolve_ground(query)? else {
+        let Some(lit) = resolve::ground_literal(&self.world, query)? else {
             return Ok(Eval::Complete(format!(
                 "{query}: unknown at epoch {} (no rule mentions this atom)",
                 self.epoch
@@ -395,152 +267,50 @@ impl KbSnapshot {
             olp_semantics::render_why(&self.world, &view, &why)
         }))
     }
-
-    /// Resolves a ground query literal against the frozen world without
-    /// interning: `Ok(None)` means some symbol, term, or the atom itself
-    /// was never materialised at this epoch (hence trivially
-    /// underivable).
-    fn resolve_ground(&self, query: &str) -> Result<Option<GLit>, KbError> {
-        let mut scratch = World::new();
-        let slit = parse_ground_literal(&mut scratch, query)
-            .map_err(|_| KbError::NonGroundQuery(query.to_string()))?;
-        let satom = scratch.atoms.get(slit.atom());
-        let info = scratch.preds.info(satom.pred);
-        let Some(sym) = self.world.syms.get(scratch.syms.name(info.name)) else {
-            return Ok(None);
-        };
-        let Some(pred) = self.world.preds.get(sym, info.arity) else {
-            return Ok(None);
-        };
-        let mut args = Vec::with_capacity(satom.args.len());
-        for &a in satom.args.iter() {
-            match translate_term(&scratch, &self.world, a) {
-                Some(t) => args.push(t),
-                None => return Ok(None),
-            }
-        }
-        Ok(self
-            .world
-            .atoms
-            .get_id(pred, &args)
-            .map(|atom| GLit::new(slit.sign(), atom)))
-    }
-
-    /// Every binding of `lit`'s variables whose instance is true in
-    /// `m`, rendered `var=term` and sorted. The pattern lives in
-    /// `scratch`; matching compares constants and functors **by name**
-    /// against the frozen world, which agrees with
-    /// [`crate::Kb`]'s id-based matching because interning is
-    /// injective on names.
-    fn enumerate_bindings(
-        &self,
-        scratch: &World,
-        lit: &Literal,
-        m: &Interpretation,
-    ) -> Vec<String> {
-        let mut vars = Vec::new();
-        lit.collect_vars(&mut vars);
-        let info = scratch.preds.info(lit.pred);
-        let pred = match self
-            .world
-            .syms
-            .get(scratch.syms.name(info.name))
-            .and_then(|s| self.world.preds.get(s, info.arity))
-        {
-            Some(p) => p,
-            // Unknown predicate: no materialised instances, no bindings
-            // (the interning path reaches the same conclusion through an
-            // empty `of_pred`).
-            None => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        for &atom in self.world.atoms.of_pred(pred) {
-            if !m.holds(GLit::new(lit.sign, atom)) {
-                continue;
-            }
-            let args = &self.world.atoms.get(atom).args;
-            let mut b: Vec<(Sym, GTermId)> = Vec::new();
-            let matched = lit
-                .args
-                .iter()
-                .zip(args.iter())
-                .all(|(pat, &g)| match_pat(scratch, &self.world, pat, g, &mut b));
-            if matched {
-                let binding: Vec<String> = vars
-                    .iter()
-                    .map(|v| {
-                        let g = b
-                            .iter()
-                            .find(|(s, _)| s == v)
-                            .expect("collected var is bound by a full match")
-                            .1;
-                        format!("{}={}", scratch.syms.name(*v), self.world.term_str(g))
-                    })
-                    .collect();
-                out.push(binding.join(", "));
-            }
-        }
-        out.sort();
-        out
-    }
 }
 
-/// Translates a ground term interned in `scratch` into `real`'s term
-/// store by structural read-only lookup; `None` if any sub-term was
-/// never materialised there.
-fn translate_term(scratch: &World, real: &World, t: GTermId) -> Option<GTermId> {
-    match scratch.terms.get(t) {
-        GTerm::Const(s) => {
-            let rs = real.syms.get(scratch.syms.name(*s))?;
-            real.terms.lookup(&GTerm::Const(rs))
-        }
-        GTerm::Int(i) => real.terms.lookup(&GTerm::Int(*i)),
-        GTerm::Func(f, args) => {
-            let rf = real.syms.get(scratch.syms.name(*f))?;
-            let rargs: Option<Vec<GTermId>> = args
-                .iter()
-                .map(|&a| translate_term(scratch, real, a))
-                .collect();
-            real.terms.lookup(&GTerm::Func(rf, rargs?.into()))
+/// The caches a snapshot lends the evaluation front door: its frozen
+/// profiles and the memo maps behind mutexes, which are held only for a
+/// probe or an insert, never across evaluation. Every entry is current
+/// (the epoch is frozen); there is no stable memo.
+impl Caches for &KbSnapshot {
+    fn ground(&self) -> Arc<GroundProgram> {
+        self.ground.clone()
+    }
+
+    fn proofs(&mut self, c: CompId) -> Proofs {
+        Proofs::of(self.profiles.get(&c).map(Arc::as_ref))
+    }
+
+    fn least(&self, c: CompId) -> Cached {
+        match self.models.lock().expect("model cache poisoned").get(&c) {
+            Some(m) => Cached::Current(m.clone()),
+            None => Cached::Absent,
         }
     }
-}
 
-/// Matches a (scratch-world) pattern term against a (frozen-world)
-/// ground term, threading variable bindings; name-based comparison for
-/// constants and functors.
-fn match_pat(
-    scratch: &World,
-    real: &World,
-    pat: &Term,
-    g: GTermId,
-    b: &mut Vec<(Sym, GTermId)>,
-) -> bool {
-    match pat {
-        Term::Var(v) => {
-            if let Some(&(_, bound)) = b.iter().find(|(s, _)| s == v) {
-                bound == g
-            } else {
-                b.push((*v, g));
-                true
-            }
+    /// The compiled flat arena for `c`, built at most once per snapshot
+    /// (racing readers may both build; the insert is idempotent because
+    /// construction is deterministic).
+    fn flat(&mut self, c: CompId) -> Arc<FlatView> {
+        if let Some(fv) = self.flat.lock().expect("flat cache poisoned").get(&c) {
+            return fv.clone();
         }
-        Term::Const(c) => matches!(
-            real.terms.get(g),
-            GTerm::Const(rc) if real.syms.name(*rc) == scratch.syms.name(*c)
-        ),
-        Term::Int(i) => matches!(real.terms.get(g), GTerm::Int(ri) if ri == i),
-        Term::App(f, pargs) => match real.terms.get(g) {
-            GTerm::Func(rf, rargs)
-                if real.syms.name(*rf) == scratch.syms.name(*f) && rargs.len() == pargs.len() =>
-            {
-                pargs
-                    .iter()
-                    .zip(rargs.iter())
-                    .all(|(p, &rg)| match_pat(scratch, real, p, rg, b))
-            }
-            _ => false,
-        },
+        let fv = Arc::new(FlatView::new(&self.ground, c));
+        self.flat
+            .lock()
+            .expect("flat cache poisoned")
+            .entry(c)
+            .or_insert(fv)
+            .clone()
+    }
+
+    fn store_least(&mut self, c: CompId, model: Arc<Interpretation>) {
+        self.models
+            .lock()
+            .expect("model cache poisoned")
+            .entry(c)
+            .or_insert(model);
     }
 }
 
@@ -549,23 +319,9 @@ mod tests {
     use crate::kb::{GroundStrategy, KbBuilder, QueryOptions};
     use olp_core::Truth;
 
+    /// The Fig. 1 penguin KB under the default grounder.
     fn penguin_kb() -> crate::Kb {
-        let mut b = KbBuilder::new();
-        b.rules(
-            "bird",
-            "bird(penguin). bird(pigeon).
-             fly(X) :- bird(X).
-             -ground_animal(X) :- bird(X).",
-        )
-        .unwrap();
-        b.isa("penguin_view", "bird");
-        b.rules(
-            "penguin_view",
-            "ground_animal(penguin).
-             -fly(X) :- ground_animal(X).",
-        )
-        .unwrap();
-        b.build(GroundStrategy::Smart).unwrap()
+        crate::kb::tests::penguin_kb(GroundStrategy::Smart)
     }
 
     #[test]
@@ -642,6 +398,31 @@ mod tests {
         assert_eq!(
             kb.truth("penguin_view", "fly(sparrow)").unwrap(),
             Truth::True
+        );
+    }
+
+    #[test]
+    fn snapshot_reads_use_the_frozen_profiles() {
+        use crate::eval::{self, Ask, EnginePath, LeastPath, Limits};
+        let mut b = KbBuilder::new();
+        b.rules("g", "edge(a,b). path(X,Y) :- edge(X,Y).").unwrap();
+        let mut kb = b.build(GroundStrategy::Smart).unwrap();
+        let path = |snap: &crate::KbSnapshot| {
+            let c = snap.comp("g").unwrap();
+            let lim = Limits {
+                budget: &olp_core::Budget::unlimited(),
+                max_models: None,
+                threads: 1,
+            };
+            eval::read(&mut &*snap, c, Ask::Least, &lim).0
+        };
+        // Without a published profile nothing is proved…
+        assert_eq!(path(&kb.snapshot()), EnginePath::Least(LeastPath::Fixpoint));
+        // …with one, the negation-free view takes the definite path.
+        kb.warm_profiles();
+        assert_eq!(
+            path(&kb.snapshot()),
+            EnginePath::Least(LeastPath::DefiniteFixpoint)
         );
     }
 

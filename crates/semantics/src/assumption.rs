@@ -134,21 +134,8 @@ mod tests {
     use super::*;
     use crate::fixpoint::least_model;
     use crate::model::is_model;
-    use olp_core::{CompId, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::{parse_ground_literal, parse_program};
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
-
-    fn interp(w: &mut World, lits: &[&str]) -> Interpretation {
-        Interpretation::from_literals(lits.iter().map(|s| parse_ground_literal(w, s).unwrap()))
-            .unwrap()
-    }
+    use crate::test_util::{ground, interp, FIG2, P5};
+    use olp_core::CompId;
 
     #[test]
     fn example4_p4_only_empty_model_is_assumption_free() {
@@ -188,9 +175,7 @@ mod tests {
                 -ground_animal(X) :- bird(X). }
              module c1 < c2 { ground_animal(penguin). -fly(X) :- ground_animal(X). }",
             "a :- b. -a :- b.",
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
+            FIG2,
         ] {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
@@ -259,10 +244,7 @@ mod tests {
     #[test]
     fn example5_assumption_free_but_not_stable_candidate() {
         // P5: {c} is assumption-free (but not maximal).
-        let (mut w, g) = ground(
-            "module c2 { a. b. c. }
-             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
-        );
+        let (mut w, g) = ground(P5);
         let v = View::new(&g, CompId(1));
         let just_c = interp(&mut w, &["c"]);
         assert!(is_model(&v, &just_c, g.n_atoms));

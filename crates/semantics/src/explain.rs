@@ -14,7 +14,7 @@
 //!   blocking literal), *overruled* / *defeated* (with the active
 //!   attacker), or *not applicable* (with the missing body literals).
 
-use crate::fixpoint::{least_model, least_model_budgeted};
+use crate::fixpoint::least_model_budgeted;
 use crate::view::{LocalIdx, View};
 use olp_core::{Budget, Eval, FxHashMap, GLit, Interpretation, World};
 use std::fmt::Write as _;
@@ -69,8 +69,7 @@ pub enum Why {
 /// Explains `lit` against the **least model** of the view (computed
 /// internally; use [`explain_in`] to reuse a model).
 pub fn explain(view: &View, lit: GLit) -> Why {
-    let m = least_model(view);
-    explain_in(view, &m, lit)
+    explain_budgeted(view, lit, &Budget::unlimited()).into_value()
 }
 
 /// [`explain`] under a [`Budget`]: the least-model computation may be
@@ -270,26 +269,10 @@ fn view_global(view: &View, li: LocalIdx) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olp_core::{CompId, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::{parse_ground_literal, parse_program};
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
-
-    const FIG1: &str = "module c2 {
-        bird(penguin). bird(pigeon).
-        fly(X) :- bird(X).
-        -ground_animal(X) :- bird(X).
-     }
-     module c1 < c2 {
-        ground_animal(penguin).
-        -fly(X) :- ground_animal(X).
-     }";
+    use crate::fixpoint::least_model;
+    use crate::test_util::{ground, FIG1};
+    use olp_core::CompId;
+    use olp_parser::parse_ground_literal;
 
     #[test]
     fn why_penguin_does_not_fly() {

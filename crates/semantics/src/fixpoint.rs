@@ -1,5 +1,5 @@
-//! The ordered immediate transformation `V_{P,C}` and its least
-//! fixpoint (Definition 4, Lemma 1, Proposition 1, Theorem 1b).
+//! The least fixpoint of the ordered immediate transformation
+//! `V_{P,C}` (Definition 4, Lemma 1, Proposition 1, Theorem 1b).
 //!
 //! `V_{P,C}(I) = { H(r) | r ∈ ground(C*), B(r) ⊆ I, r neither overruled
 //! nor defeated w.r.t. I }`. The transformation is monotone (growing `I`
@@ -7,85 +7,24 @@
 //! only ever weaken), so the least fixpoint exists and equals the limit
 //! of `V^k(∅)`.
 //!
-//! Three engines:
-//! * [`v_step`] / [`least_model_naive`] — a literal transcription of the
-//!   definition: full passes until nothing changes. Reference + ablation
-//!   baseline.
-//! * [`least_model_monolithic`] — incremental worklist engine: per-rule
-//!   counters of unsatisfied body literals and of still-active
-//!   (non-blocked) overrulers/defeaters; deriving a literal decrements
-//!   counters via the view's body index and transposed attack lists.
-//!   Each rule/literal is touched O(1) times per edge, so the fixpoint
-//!   is linear in the size of the ground view.
-//! * [`least_model`] — the default: the same worklist run
-//!   stratum-by-stratum over the SCC condensation of the dependency
-//!   graph ([`crate::decomp`]), which confines counters and queue to one
-//!   stratum at a time.
+//! [`least_model`] runs the stratified worklist over the flat arena
+//! representation ([`crate::flat_eval`]); the definitions transcribed
+//! literally, and the interpretive worklist over the whole view, are
+//! the reference engines in [`crate::reference`].
 
 use crate::view::View;
-use olp_core::{Budget, Eval, Interpretation, Interrupted};
+use olp_core::{Budget, Eval, Interpretation};
 
-/// One application of `V_{P,C}` to `i`.
-///
-/// Returns the *new* interpretation `V(i)` (not the union — `V` is not
-/// inflationary in general, but its iterates from `∅` are increasing).
-pub fn v_step(view: &View, i: &Interpretation) -> Interpretation {
-    let mut out = Interpretation::new();
-    for (li, r) in view.rules() {
-        if view.applicable(li, i) && !view.overruled(li, i) && !view.defeated(li, i) {
-            out.insert(r.head)
-                .expect("V preserves consistency (Lemma 1)");
-        }
-    }
-    out
-}
-
-/// Least fixpoint of `V_{P,C}` by naive iteration from `∅`.
-pub fn least_model_naive(view: &View) -> Interpretation {
-    least_model_naive_budgeted(view, &Budget::unlimited()).into_value()
-}
-
-/// [`least_model_naive`] under a [`Budget`].
-///
-/// On interruption the partial result is the **last completed
-/// iterate** `V^k(∅)`. The iterates from `∅` are increasing (Lemma 1),
-/// so that iterate is a sound under-approximation of the least model.
-pub fn least_model_naive_budgeted(view: &View, budget: &Budget) -> Eval<Interpretation> {
-    let mut cur = Interpretation::new();
-    let mut ticker = budget.ticker();
-    loop {
-        let mut out = Interpretation::new();
-        for (li, r) in view.rules() {
-            if let Err(reason) = ticker.tick() {
-                return Eval::Interrupted(Interrupted {
-                    reason,
-                    partial: cur,
-                });
-            }
-            if view.applicable(li, &cur) && !view.overruled(li, &cur) && !view.defeated(li, &cur) {
-                out.insert(r.head)
-                    .expect("V preserves consistency (Lemma 1)");
-            }
-        }
-        if out == cur {
-            return Eval::Complete(cur);
-        }
-        cur = out;
-    }
-}
-
-/// Least fixpoint of `V_{P,C}` by incremental worklist iteration.
+/// Least fixpoint of `V_{P,C}`.
 ///
 /// By Theorem 1(b) this is the **least model** of the program in the
 /// component, the intersection of all models, and is assumption-free.
 ///
 /// Evaluation compiles the view into the **flat arena representation**
 /// ([`olp_ground::flat`]) and runs the stratified worklist over dense
-/// bitset truth state ([`crate::flat_eval`]) — no hashing in the inner
-/// loop. Use [`crate::decomp::least_model_stratified`] for the
-/// interpretive stratified engine or [`least_model_monolithic`] to also
-/// skip the condensation (the `--no-decomp` escape hatch); all three
-/// are differentially tested against each other.
+/// bitset truth state ([`crate::least_model_flat`]) — no hashing in the
+/// inner loop. It is differentially tested against the reference engines in
+/// [`crate::reference`].
 pub fn least_model(view: &View) -> Interpretation {
     crate::flat_eval::least_model_flat(&crate::flat_eval::flatten(view))
 }
@@ -96,187 +35,16 @@ pub fn least_model(view: &View) -> Interpretation {
 /// full plus a monotone prefix of the current one — always a subset of
 /// the unbudgeted least model.
 pub fn least_model_budgeted(view: &View, budget: &Budget) -> Eval<Interpretation> {
-    crate::flat_eval::least_model_flat_budgeted(&crate::flat_eval::flatten(view), budget)
-}
-
-/// [`least_model`] with the morsel-driven work-stealing scheduler
-/// ([`crate::flat_eval::least_model_morsel`]): size-balanced runs of
-/// strata are scheduled over `threads` workers with per-worker deques
-/// and no global round barrier. The result is byte-identical to
-/// [`least_model`] for every thread count; `threads <= 1` and small
-/// programs take the sequential flat path verbatim.
-pub fn least_model_parallel(view: &View, threads: usize) -> Interpretation {
-    least_model_parallel_budgeted(view, threads, &Budget::unlimited()).into_value()
-}
-
-/// [`least_model_parallel`] under a [`Budget`].
-///
-/// Same anytime contract as [`least_model_budgeted`]: the partial
-/// result is the union of every published morsel plus monotone
-/// prefixes of the morsels in flight — always a subset of the
-/// unbudgeted least model. Step accounting stays exact at morsel
-/// boundaries (each morsel runs under its own refunding ticker).
-pub fn least_model_parallel_budgeted(
-    view: &View,
-    threads: usize,
-    budget: &Budget,
-) -> Eval<Interpretation> {
-    let fv = crate::flat_eval::flatten(view);
-    let cfg = crate::flat_eval::MorselCfg::with_threads(threads);
-    crate::flat_eval::least_model_morsel(&fv, &cfg, budget)
-}
-
-/// Least fixpoint of `V_{P,C}` by a single monolithic worklist, without
-/// the stratified decomposition. Kept as the `--no-decomp` escape hatch
-/// and the differential-testing baseline for [`least_model`].
-pub fn least_model_monolithic(view: &View) -> Interpretation {
-    least_model_impl(view, None, &Budget::unlimited()).into_value()
-}
-
-/// [`least_model_monolithic`] under a [`Budget`].
-///
-/// On interruption the partial result contains only literals already
-/// derived by fired rules, i.e. a prefix of the monotone worklist
-/// closure — always a subset of the unbudgeted least model.
-pub fn least_model_monolithic_budgeted(view: &View, budget: &Budget) -> Eval<Interpretation> {
-    least_model_impl(view, None, budget)
-}
-
-/// [`least_model`] restricted to the rules where `mask` is `true` —
-/// rules outside the mask neither fire nor attack. Used by the
-/// goal-directed prover ([`crate::prove::prove`]), which guarantees the mask
-/// is closed under derivation/blocking/attack dependencies.
-pub fn least_model_restricted(view: &View, mask: &[bool]) -> Interpretation {
-    least_model_impl(view, Some(mask), &Budget::unlimited()).into_value()
-}
-
-/// [`least_model_restricted`] under a [`Budget`] (same partial-result
-/// guarantee as [`least_model_budgeted`], relative to the masked
-/// program).
-pub fn least_model_restricted_budgeted(
-    view: &View,
-    mask: &[bool],
-    budget: &Budget,
-) -> Eval<Interpretation> {
-    least_model_impl(view, Some(mask), budget)
-}
-
-fn least_model_impl(view: &View, mask: Option<&[bool]>, budget: &Budget) -> Eval<Interpretation> {
-    let n = view.len();
-    let enabled = |li: u32| mask.is_none_or(|m| m[li as usize]);
-    let mut unsat = vec![0u32; n];
-    let mut over = vec![0u32; n];
-    let mut defeat = vec![0u32; n];
-    let mut blocked = vec![false; n];
-    let mut fired = vec![false; n];
-
-    for (li, r) in view.rules() {
-        unsat[li as usize] = r.body.len() as u32;
-        over[li as usize] = view.overrulers(li).iter().filter(|&&a| enabled(a)).count() as u32;
-        defeat[li as usize] = view.defeaters(li).iter().filter(|&&a| enabled(a)).count() as u32;
-    }
-
-    let mut i = Interpretation::new();
-    let mut queue: Vec<olp_core::GLit> = Vec::new();
-    let mut interrupted = None;
-    let mut ticker = budget.ticker();
-
-    // Seed: rules with empty bodies and no attackers at all.
-    for (li, r) in view.rules() {
-        if let Err(reason) = ticker.tick() {
-            interrupted = Some(reason);
-            break;
-        }
-        let l = li as usize;
-        if enabled(li) && unsat[l] == 0 && over[l] == 0 && defeat[l] == 0 && !fired[l] {
-            fired[l] = true;
-            if i.insert(r.head).expect("V preserves consistency") {
-                queue.push(r.head);
-            }
-        }
-    }
-
-    'work: while interrupted.is_none() {
-        let Some(lit) = queue.pop() else { break };
-        if let Err(reason) = ticker.tick() {
-            interrupted = Some(reason);
-            break 'work;
-        }
-        // 1. Body satisfaction: rules with `lit` in the body get closer
-        //    to applicability.
-        for &li in view.rules_with_body_lit(lit) {
-            let l = li as usize;
-            unsat[l] -= 1;
-            if enabled(li) && unsat[l] == 0 && over[l] == 0 && defeat[l] == 0 && !fired[l] {
-                fired[l] = true;
-                let head = view.rule(li).head;
-                if i.insert(head).expect("V preserves consistency") {
-                    queue.push(head);
-                }
-            }
-        }
-        // 2. Blocking: rules with the *complement* of `lit` in the body
-        //    become blocked; their victims lose an active attacker.
-        for &li in view.rules_with_body_lit(lit.complement()) {
-            let l = li as usize;
-            if blocked[l] {
-                continue;
-            }
-            if let Err(reason) = ticker.tick() {
-                interrupted = Some(reason);
-                break 'work;
-            }
-            blocked[l] = true;
-            if !enabled(li) {
-                continue;
-            }
-            for &v in view.victims_overrule(li) {
-                let vz = v as usize;
-                over[vz] -= 1;
-                if enabled(v) && unsat[vz] == 0 && over[vz] == 0 && defeat[vz] == 0 && !fired[vz] {
-                    fired[vz] = true;
-                    let head = view.rule(v).head;
-                    if i.insert(head).expect("V preserves consistency") {
-                        queue.push(head);
-                    }
-                }
-            }
-            for &v in view.victims_defeat(li) {
-                let vz = v as usize;
-                defeat[vz] -= 1;
-                if enabled(v) && unsat[vz] == 0 && over[vz] == 0 && defeat[vz] == 0 && !fired[vz] {
-                    fired[vz] = true;
-                    let head = view.rule(v).head;
-                    if i.insert(head).expect("V preserves consistency") {
-                        queue.push(head);
-                    }
-                }
-            }
-        }
-    }
-    // Every inserted literal was derived by a fired rule whose body
-    // held and whose attackers were blocked at fire time — conditions
-    // monotone in `i` — so `i` is a prefix of the increasing worklist
-    // closure and a sound under-approximation of the least model.
-    match interrupted {
-        None => Eval::Complete(i),
-        Some(reason) => Eval::Interrupted(Interrupted { reason, partial: i }),
-    }
+    crate::flat_eval::least_model_flat_cfg(&crate::flat_eval::flatten(view), false, budget)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::least_model_naive;
+    use crate::test_util::{ground, FIG1, FIG2, P5};
     use olp_core::{CompId, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::{parse_ground_literal, parse_program};
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
+    use olp_parser::parse_ground_literal;
 
     fn expect_model(w: &mut World, m: &Interpretation, lits: &[&str], n_atoms: usize) {
         let want =
@@ -288,16 +56,6 @@ mod tests {
             "least model mismatch (n_atoms = {n_atoms})"
         );
     }
-
-    const FIG1: &str = "module c2 {
-        bird(penguin). bird(pigeon).
-        fly(X) :- bird(X).
-        -ground_animal(X) :- bird(X).
-     }
-     module c1 < c2 {
-        ground_animal(penguin).
-        -fly(X) :- ground_animal(X).
-     }";
 
     #[test]
     fn fig1_least_model_in_c1_is_i1() {
@@ -375,11 +133,7 @@ mod tests {
     fn fig2_defeating_gives_empty_model_in_c1() {
         // P2 (Fig. 2): C3 and C2 are incomparable from C1; rich/poor
         // defeat each other, so nothing about mimmo is derivable.
-        let (_, g) = ground(
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
-        );
+        let (_, g) = ground(FIG2);
         let c1 = CompId(2);
         let v = View::new(&g, c1);
         let m = least_model(&v);
@@ -388,11 +142,7 @@ mod tests {
 
     #[test]
     fn fig2_component_views_differ() {
-        let (mut w, g) = ground(
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
-        );
+        let (mut w, g) = ground(FIG2);
         // In C3's own view, mimmo is rich and not poor.
         let m3 = least_model(&View::new(&g, CompId(0)));
         expect_model(&mut w, &m3, &["rich(mimmo)", "-poor(mimmo)"], g.n_atoms);
@@ -403,15 +153,7 @@ mod tests {
 
     #[test]
     fn naive_and_incremental_agree_on_examples() {
-        for src in [
-            FIG1,
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
-            "a :- b. -a :- b. b.",
-            "module c2 { a. b. c. }
-             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
-        ] {
+        for src in [FIG1, FIG2, "a :- b. -a :- b. b.", P5] {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
                 let v = View::new(&g, CompId(c as u32));

@@ -2,8 +2,8 @@
 //! ([`FlatView`]), sequential and morsel-parallel.
 //!
 //! Both engines compute the same least fixpoint of `V_{P,C}` as the
-//! interpretive worklist engines in [`crate::fixpoint`] /
-//! [`crate::decomp`], but over [`olp_ground::flat`]'s dense arenas:
+//! interpretive reference worklist ([`crate::reference`]), but over
+//! [`olp_ground::flat`]'s dense arenas:
 //! truth state is a [`BitSet`] indexed by [`olp_core::GLit::code`]
 //! (one bit per signed atom), watch/attack lists are CSR slices, and
 //! stratum membership is a range check — no hashing anywhere in the
@@ -11,9 +11,9 @@
 //!
 //! ## The morsel scheduler
 //!
-//! [`least_model_morsel`] replaces the per-level `Barrier` wavefront
-//! ([`crate::decomp::least_model_wavefront`]) with **work-stealing over
-//! morsels**: contiguous runs of whole strata, size-balanced by
+//! [`least_model_morsel`] schedules **work-stealing over morsels**
+//! rather than a per-level barrier: contiguous runs of whole strata,
+//! size-balanced by
 //! [`FlatView::morsels`]. Each morsel is an independent scheduling unit
 //! with a precomputed set of predecessor morsels (from the flat view's
 //! stratum dependency edges); a morsel becomes runnable when its last
@@ -219,34 +219,34 @@ fn eval_strata(
     Ok(())
 }
 
-fn interp_of_bits(bits: &BitSet) -> Interpretation {
-    Interpretation::from_literals(bits.iter().map(GLit::from_code))
-        .expect("least fixpoint is consistent (Lemma 1)")
+/// The outcome of a fixpoint run that derived `bits`: complete, or
+/// interrupted with `bits` as its sound partial model.
+fn finish(bits: &BitSet, res: Result<(), InterruptReason>) -> Eval<Interpretation> {
+    let i = Interpretation::from_literals(bits.iter().map(GLit::from_code))
+        .expect("least fixpoint is consistent (Lemma 1)");
+    match res {
+        Ok(()) => Eval::Complete(i),
+        Err(reason) => Eval::Interrupted(Interrupted { reason, partial: i }),
+    }
 }
 
-/// Least model of a flat view, sequentially (the flat counterpart of
-/// [`crate::decomp::least_model_stratified`]; differentially tested
-/// against it).
+/// Least model of a flat view, sequentially (differentially tested
+/// against the interpretive reference engines). Under a budget, run
+/// [`least_model_morsel`] at one thread — its sequential path.
 pub fn least_model_flat(fv: &FlatView) -> Interpretation {
-    least_model_flat_budgeted(fv, &Budget::unlimited()).into_value()
+    least_model_flat_cfg(fv, false, &Budget::unlimited()).into_value()
 }
 
-/// [`least_model_flat`] under a [`Budget`]. On interruption the partial
-/// result is every completed stratum plus a monotone prefix of the
-/// current one — a sound under-approximation of the least model.
-pub fn least_model_flat_budgeted(fv: &FlatView, budget: &Budget) -> Eval<Interpretation> {
-    least_model_flat_cfg(fv, false, budget)
-}
-
-/// [`least_model_flat_budgeted`] for a view proved **negation-free**
-/// (by `olp-analyze`'s program profile): skips all blockedness and
-/// attack bookkeeping. Unsound — and differentially caught — if the
-/// view actually contains negation; the caller owns the proof.
-pub fn least_model_flat_definite(fv: &FlatView, budget: &Budget) -> Eval<Interpretation> {
-    least_model_flat_cfg(fv, true, budget)
-}
-
-fn least_model_flat_cfg(fv: &FlatView, definite: bool, budget: &Budget) -> Eval<Interpretation> {
+/// The sequential flat fixpoint. On interruption the partial result is
+/// every completed stratum plus a monotone prefix of the current one —
+/// a sound under-approximation of the least model. `definite` skips
+/// all blockedness and attack bookkeeping on a view the caller proved
+/// **negation-free**; it is unsound on a view that contains negation.
+pub(crate) fn least_model_flat_cfg(
+    fv: &FlatView,
+    definite: bool,
+    budget: &Budget,
+) -> Eval<Interpretation> {
     let mut truth = BitSet::with_capacity(2 * fv.n_atoms);
     let mut sc = Scratch::new(fv.len());
     let mut ticker = budget.ticker();
@@ -261,16 +261,11 @@ fn least_model_flat_cfg(fv: &FlatView, definite: bool, budget: &Budget) -> Eval<
         &mut ticker,
     );
     drop(ticker);
-    let i = interp_of_bits(&truth);
-    match res {
-        Ok(()) => Eval::Complete(i),
-        Err(reason) => Eval::Interrupted(Interrupted { reason, partial: i }),
-    }
+    finish(&truth, res)
 }
 
-/// Incremental least model over flat arenas: the compiled counterpart
-/// of [`crate::decomp::least_model_delta`], differentially tested
-/// against it and against from-scratch [`least_model_flat`].
+/// Incremental least model over flat arenas, differentially tested
+/// against from-scratch [`least_model_flat`].
 ///
 /// `old` is the least model of this view before the mutation and
 /// `touched` the sorted atom indices occurring in any changed rule —
@@ -282,10 +277,11 @@ fn least_model_flat_cfg(fv: &FlatView, definite: bool, budget: &Budget) -> Eval<
 /// rules sharing a head atom sharing a stratum).
 ///
 /// **Dirty closure.** An atom is dirty if it is touched or if some
-/// rule watching a dirty atom derives it: the reverse dependency walk
-/// of `least_model_delta`, re-expressed over the packed watch lists
-/// (`watchers(+a)` / `watchers(-a)` *are* the body→head reverse
-/// adjacency, so no radjacency map is materialised). Attack edges need
+/// rule watching a dirty atom derives it: a reverse dependency walk
+/// over the packed watch lists (`watchers(+a)` / `watchers(-a)` *are*
+/// the body→head reverse adjacency, so no radjacency map is
+/// materialised). Removed derivation chains are covered because any
+/// broken chain ends at a removed instance, whose head is touched. Attack edges need
 /// no separate traversal — an attacker shares its victim's head atom,
 /// so a change in the attacker's blockedness reaches the victim's atom
 /// through the attacker's own body watches.
@@ -299,7 +295,7 @@ fn least_model_flat_cfg(fv: &FlatView, definite: bool, budget: &Budget) -> Eval<
 /// tick per rule. Dirty strata re-run the semi-naive worklist over
 /// their contiguous rule ranges against the accumulated bits.
 ///
-/// **Anytime contract.** Same as [`least_model_flat_budgeted`]: on
+/// **Anytime contract.** Same as the sequential flat fixpoint: on
 /// interruption the partial result is the copied clean bits plus every
 /// completed dirty stratum plus a monotone prefix of the current one —
 /// a sound under-approximation of the new least model.
@@ -335,43 +331,34 @@ pub fn least_model_delta_flat(
     let mut truth = BitSet::with_capacity(2 * n_atoms);
     let mut sc = Scratch::new(fv.len());
     let mut ticker = budget.ticker();
-    let mut res = Ok(());
-    'strata: for s in 0..fv.n_strata() {
+    let res = (0..fv.n_strata()).try_for_each(|s| {
         let (lo, hi) = fv.stratum(s);
-        let is_dirty = (lo..hi).any(|f| dirty[fv.head(f).atom().index()]);
-        if !is_dirty {
-            for f in lo..hi {
-                if let Err(r) = ticker.tick() {
-                    res = Err(r);
-                    break 'strata;
-                }
-                let h = fv.head(f).atom();
-                for l in [GLit::pos(h), GLit::neg(h)] {
-                    if old.holds(l) {
-                        truth.insert(l.code());
-                    }
+        if (lo..hi).any(|f| dirty[fv.head(f).atom().index()]) {
+            let s = s as u32;
+            return eval_strata(
+                fv,
+                &|_| false,
+                &mut truth,
+                &mut sc,
+                false,
+                s,
+                s + 1,
+                &mut ticker,
+            );
+        }
+        for f in lo..hi {
+            ticker.tick()?;
+            let h = fv.head(f).atom();
+            for l in [GLit::pos(h), GLit::neg(h)] {
+                if old.holds(l) {
+                    truth.insert(l.code());
                 }
             }
-        } else if let Err(r) = eval_strata(
-            fv,
-            &|_| false,
-            &mut truth,
-            &mut sc,
-            false,
-            s as u32,
-            s as u32 + 1,
-            &mut ticker,
-        ) {
-            res = Err(r);
-            break 'strata;
         }
-    }
+        Ok(())
+    });
     drop(ticker);
-    let i = interp_of_bits(&truth);
-    match res {
-        Ok(()) => Eval::Complete(i),
-        Err(reason) => Eval::Interrupted(Interrupted { reason, partial: i }),
-    }
+    finish(&truth, res)
 }
 
 /// Tuning knobs of the morsel-driven parallel fixpoint.
@@ -422,8 +409,12 @@ impl MorselCfg {
 /// programs below [`MorselCfg::seq_threshold`] run the sequential path
 /// verbatim.
 pub fn least_model_morsel(fv: &FlatView, cfg: &MorselCfg, budget: &Budget) -> Eval<Interpretation> {
-    let total: u64 = (0..fv.n_strata()).map(|s| fv.stratum_weight(s)).sum();
-    if cfg.threads <= 1 || total < cfg.seq_threshold {
+    let weight = || {
+        (0..fv.n_strata())
+            .map(|s| fv.stratum_weight(s))
+            .sum::<u64>()
+    };
+    if cfg.threads <= 1 || weight() < cfg.seq_threshold {
         return least_model_flat_cfg(fv, cfg.assume_definite, budget);
     }
     let morsels = fv.morsels(cfg.target_weight);
@@ -580,45 +571,23 @@ fn least_model_morsel_definite(
     })
     .expect("morsel workers do not panic");
 
-    let i = interp_of_bits(&global.snapshot());
     let reason = *interrupted.lock().expect("interrupt slot");
-    match reason {
-        None => Eval::Complete(i),
-        Some(reason) => Eval::Interrupted(Interrupted { reason, partial: i }),
-    }
+    finish(&global.snapshot(), reason.map_or(Ok(()), Err))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{ground, FIG1, FIG2};
     use olp_core::{CompId, World};
     use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
     use olp_parser::parse_program;
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
-
-    const FIG1: &str = "module c2 {
-        bird(penguin). bird(pigeon).
-        fly(X) :- bird(X).
-        -ground_animal(X) :- bird(X).
-     }
-     module c1 < c2 {
-        ground_animal(penguin).
-        -fly(X) :- ground_animal(X).
-     }";
 
     #[test]
     fn flat_matches_interpretive_on_examples() {
         for src in [
             FIG1,
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
+            FIG2,
             "a :- b. -a :- b. b.",
             "p. -p.",
             "module c2 { a. } module c1 < c2 { -a :- b. }",
@@ -630,7 +599,7 @@ mod tests {
                 let fv = FlatView::new(&g, c);
                 assert_eq!(
                     least_model_flat(&fv),
-                    crate::decomp::least_model_stratified(&view),
+                    crate::reference::least_model_monolithic(&view),
                     "flat != interpretive on {src} in component {}",
                     c.0
                 );
@@ -665,7 +634,7 @@ mod tests {
             let fv = FlatView::new(&g, CompId(0));
             let general = least_model_flat(&fv);
             let definite =
-                least_model_flat_definite(&fv, &Budget::unlimited()).expect_complete("unlimited");
+                least_model_flat_cfg(&fv, true, &Budget::unlimited()).expect_complete("unlimited");
             assert_eq!(general, definite, "{src}");
             let cfg = MorselCfg {
                 threads: 4,
@@ -696,7 +665,7 @@ mod tests {
         let fv = FlatView::new(&g, CompId(1));
         let full = least_model_flat(&fv);
         for steps in 0..12 {
-            let eval = least_model_flat_budgeted(&fv, &Budget::with_steps(steps));
+            let eval = least_model_flat_cfg(&fv, false, &Budget::with_steps(steps));
             if let Eval::Interrupted(i) = eval {
                 for l in i.partial.literals() {
                     assert!(full.holds(l), "partial derived a non-model literal");

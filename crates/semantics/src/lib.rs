@@ -17,9 +17,11 @@
 //! * [`stable_models`] and friends — Definition 9 (maximal
 //!   assumption-free models), exhaustive models (Def. 5b, Prop. 2),
 //!   total models (Def. 5a);
-//! * [`Decomposition`] — SCC condensation of the dependency graph:
-//!   stratified fixpoints and product-form enumeration over independent
-//!   rule groups (on by default in [`least_model`] / [`stable_models`]).
+//! * [`Decomposition`] — independent rule groups: product-form
+//!   enumeration ([`stable_models_decomposed`]), on by default in
+//!   [`stable_models`];
+//! * [`mod@reference`] — the definitions transcribed literally, kept as the
+//!   differential-testing oracles and ablation baselines.
 //!
 //! ## Quick example (the paper's Fig. 1)
 //!
@@ -74,57 +76,44 @@
     clippy::items_after_statements
 )]
 
-pub mod assumption;
-pub mod decomp;
-pub mod explain;
-pub mod fixpoint;
-pub mod flat_eval;
-pub mod model;
-pub mod prove;
-pub mod skeptical;
-pub mod stable;
-pub mod stable_solver;
-pub mod view;
+mod assumption;
+mod decomp;
+mod explain;
+mod fixpoint;
+mod flat_eval;
+mod model;
+mod prove;
+pub mod reference;
+mod skeptical;
+mod stable;
+mod stable_solver;
+mod view;
 
 pub use assumption::{
     enabled_version, greatest_assumption_set, has_no_assumption_set, is_assumption_free, t_fixpoint,
 };
 pub use decomp::{
-    enumerate_assumption_free_decomposed, enumerate_assumption_free_decomposed_budgeted,
-    least_model_delta, least_model_stratified, least_model_stratified_budgeted,
-    least_model_stratified_with, least_model_wavefront, least_model_wavefront_with,
-    stable_models_decomposed, stable_models_decomposed_budgeted, stable_models_decomposed_cached,
-    Decomposition,
+    enumerate_assumption_free_decomposed_budgeted, stable_models_decomposed, Decomposition,
+    GroupMemo,
 };
 pub use explain::{explain, explain_budgeted, explain_in, render_why, Fate, Proof, Why};
-pub use fixpoint::{
-    least_model, least_model_budgeted, least_model_monolithic, least_model_monolithic_budgeted,
-    least_model_naive, least_model_naive_budgeted, least_model_parallel,
-    least_model_parallel_budgeted, least_model_restricted, least_model_restricted_budgeted, v_step,
-};
+pub use fixpoint::{least_model, least_model_budgeted};
 pub use flat_eval::{
-    flatten, least_model_delta_flat, least_model_flat, least_model_flat_budgeted,
-    least_model_flat_definite, least_model_morsel, least_model_morsel_forced, MorselCfg,
+    flatten, least_model_delta_flat, least_model_flat, least_model_morsel,
+    least_model_morsel_forced, MorselCfg,
 };
 pub use model::{check_model, is_model, ModelViolation};
 pub use olp_core::{
     Budget, Eval, Inconsistency, Interpretation, InterruptReason, Interrupted, Truth,
 };
 pub use prove::{prove, prove_budgeted, relevance_cone, relevance_cone_budgeted};
-pub use skeptical::{
-    credulous_consequences, credulous_consequences_budgeted, skeptical_consequences,
-    skeptical_consequences_budgeted,
-};
+pub use skeptical::{credulous_consequences, skeptical_consequences};
 pub use stable::{
-    derivability_closure, enumerate_assumption_free, enumerate_assumption_free_budgeted,
-    enumerate_models, extend_to_exhaustive, has_total_model, is_exhaustive, maximal_only,
-    maximal_only_budgeted, stable_models, stable_models_budgeted,
-    stable_models_monolithic_budgeted, stable_models_naive,
+    derivability_closure, extend_to_exhaustive, has_total_model, is_exhaustive, maximal_only,
+    stable_models,
 };
 pub use stable_solver::{
-    enumerate_assumption_free_parallel, enumerate_assumption_free_parallel_budgeted,
     enumerate_assumption_free_propagating, enumerate_assumption_free_propagating_budgeted,
-    stable_models_parallel, stable_models_parallel_budgeted, stable_models_propagating,
 };
 pub use view::{LocalIdx, View, ViewStats};
 
@@ -142,4 +131,54 @@ pub fn interp_intersection(ms: &[Interpretation]) -> Interpretation {
         }
     }
     out
+}
+
+/// Scaffolding shared by the unit tests.
+#[cfg(test)]
+mod test_util {
+    use olp_core::{Interpretation, World};
+    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
+
+    /// Parses and exhaustively grounds `src`.
+    pub(crate) fn ground(src: &str) -> (World, GroundProgram) {
+        let mut w = World::new();
+        let p = olp_parser::parse_program(&mut w, src).unwrap();
+        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
+        (w, g)
+    }
+
+    /// The paper's Fig. 1: the penguin overrules the flying default.
+    pub(crate) const FIG1: &str = "module c2 {
+        bird(penguin). bird(pigeon).
+        fly(X) :- bird(X).
+        -ground_animal(X) :- bird(X).
+     }
+     module c1 < c2 {
+        ground_animal(penguin).
+        -fly(X) :- ground_animal(X).
+     }";
+
+    /// Example 5 (P5): two stable models in `c1`.
+    pub(crate) const P5: &str = "module c2 { a. b. c. }
+         module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }";
+
+    /// The paper's Fig. 2: in `c1`, `rich` and `poor` defeat each other.
+    pub(crate) const FIG2: &str = "module c3 { rich(mimmo). -poor(X) :- rich(X). }
+         module c2 { poor(mimmo). -rich(X) :- poor(X). }
+         module c1 < c2, c3 { free_ticket(X) :- poor(X). }";
+
+    /// The interpretation holding exactly `lits` (surface syntax).
+    pub(crate) fn interp(w: &mut World, lits: &[&str]) -> Interpretation {
+        let lits = lits
+            .iter()
+            .map(|s| olp_parser::parse_ground_literal(w, s).unwrap());
+        Interpretation::from_literals(lits).unwrap()
+    }
+
+    /// Renders a model set, sorted, for order-insensitive comparison.
+    pub(crate) fn renders(w: &World, ms: &[Interpretation]) -> Vec<String> {
+        let mut v: Vec<String> = ms.iter().map(|m| m.render(w)).collect();
+        v.sort();
+        v
+    }
 }

@@ -89,31 +89,9 @@ pub fn check_model(view: &View, m: &Interpretation, n_atoms: usize) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olp_core::{CompId, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::{parse_ground_literal, parse_program};
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
-
-    fn interp(w: &mut World, lits: &[&str]) -> Interpretation {
-        Interpretation::from_literals(lits.iter().map(|s| parse_ground_literal(w, s).unwrap()))
-            .unwrap()
-    }
-
-    const FIG1: &str = "module c2 {
-        bird(penguin). bird(pigeon).
-        fly(X) :- bird(X).
-        -ground_animal(X) :- bird(X).
-     }
-     module c1 < c2 {
-        ground_animal(penguin).
-        -fly(X) :- ground_animal(X).
-     }";
+    use crate::test_util::{ground, interp, FIG1, FIG2};
+    use olp_core::CompId;
+    use olp_parser::parse_ground_literal;
 
     #[test]
     fn example3_i1_is_model_for_p1_in_c1() {
@@ -176,11 +154,7 @@ mod tests {
         // inconsistent-looking but it is {rich(mimmo), poor(mimmo)}
         // (both positive: consistent). It is an interpretation but NOT a
         // model.
-        let (mut w, g) = ground(
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
-        );
+        let (mut w, g) = ground(FIG2);
         let v = View::new(&g, CompId(2));
         let i2 = interp(&mut w, &["rich(mimmo)", "poor(mimmo)"]);
         assert!(!is_model(&v, &i2, g.n_atoms));

@@ -5,7 +5,7 @@
 //! firing depends positively on the derivability of its attackers'
 //! *blockers*), so instead of SLD-style resolution the procedure
 //! extracts the **relevance cone** of the query and runs the exact
-//! worklist fixpoint on that fragment:
+//! flat fixpoint on that fragment:
 //!
 //! * a queried literal pulls in every rule with that head;
 //! * an included rule pulls in (i) its body literals (their
@@ -19,7 +19,7 @@
 //! are closed over. Agreement with the global least model is
 //! property-tested in the crate tests and `tests/theorems.rs`.
 
-use crate::fixpoint::least_model_restricted_budgeted;
+use crate::flat_eval::least_model_flat_cfg;
 use crate::view::{LocalIdx, View};
 use olp_core::{Budget, Eval, FxHashSet, GLit, InterruptReason, Interrupted};
 
@@ -101,27 +101,21 @@ pub fn prove_budgeted(view: &View, query: GLit, budget: &Budget) -> Eval<bool> {
             })
         }
     };
-    let mut mask = vec![false; view.len()];
-    for li in &cone {
-        mask[*li as usize] = true;
-    }
-    least_model_restricted_budgeted(view, &mask, budget).map(|m| m.holds(query))
+    // The cone is closed under every influence edge, so its flat arena
+    // (where rules outside it neither fire nor attack) decides `query`.
+    let rules: Vec<u32> = cone.iter().map(|&li| view.global_index(li)).collect();
+    let fv = olp_ground::FlatView::from_rules(view.gp, view.comp, &rules);
+    least_model_flat_cfg(&fv, false, budget).map(|m| m.holds(query))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixpoint::least_model;
+    use crate::test_util::ground;
     use olp_core::{AtomId, CompId, Sign, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::{parse_ground_literal, parse_program};
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
+    use olp_ground::{ground_exhaustive, GroundConfig};
+    use olp_parser::parse_ground_literal;
 
     #[test]
     fn prove_matches_least_model_on_fig1() {

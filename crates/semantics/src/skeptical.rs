@@ -19,32 +19,19 @@
 //!   *not* itself be a model — it is a set of safe conclusions.
 //!
 //! Cost: stable-model enumeration (exponential in the contested core).
+//! Budgeted and memoised reads go through the knowledge base's
+//! evaluation front door (`olp_kb`), which derives both sets from its
+//! stable-model answer.
 
 use crate::interp_intersection;
-use crate::stable::{stable_models, stable_models_budgeted};
+use crate::stable::stable_models;
 use crate::view::View;
-use olp_core::{Budget, Eval, Interpretation};
+use olp_core::Interpretation;
 
 /// The literals true in **every** stable model of the view.
 pub fn skeptical_consequences(view: &View, n_atoms: usize) -> Interpretation {
     let stable = stable_models(view, n_atoms);
     interp_intersection(&stable)
-}
-
-/// [`skeptical_consequences`] under a [`Budget`].
-///
-/// **Caveat (over-approximation):** a partial result intersects only
-/// the stable models *found so far*. Missing models can only shrink an
-/// intersection, so a partial skeptical set may contain literals that a
-/// complete run would drop — the opposite polarity from the engine's
-/// other anytime results. Callers must treat a `Partial` skeptical set
-/// as "consequences of the explored models", not as safe conclusions.
-pub fn skeptical_consequences_budgeted(
-    view: &View,
-    n_atoms: usize,
-    budget: &Budget,
-) -> Eval<Interpretation> {
-    stable_models_budgeted(view, n_atoms, budget, None).map(|ms| interp_intersection(&ms))
 }
 
 /// The literals true in **some** stable model (credulous/brave
@@ -61,52 +48,19 @@ pub fn credulous_consequences(view: &View, n_atoms: usize) -> Vec<olp_core::GLit
     out
 }
 
-/// [`credulous_consequences`] under a [`Budget`].
-///
-/// **Anytime guarantee:** every literal in a partial result holds in
-/// some explored assumption-free model that is maximal among those
-/// explored. A partial credulous set is a *subset of the credulous
-/// consequences over assumption-free models*; literals witnessed only
-/// by unexplored models are missing.
-pub fn credulous_consequences_budgeted(
-    view: &View,
-    n_atoms: usize,
-    budget: &Budget,
-) -> Eval<Vec<olp_core::GLit>> {
-    stable_models_budgeted(view, n_atoms, budget, None).map(|ms| {
-        let mut out: Vec<olp_core::GLit> = ms
-            .iter()
-            .flat_map(|m| m.literals().collect::<Vec<_>>())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixpoint::least_model;
-    use olp_core::{CompId, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::{parse_ground_literal, parse_program};
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
+    use crate::test_util::{ground, P5};
+    use olp_core::CompId;
+    use olp_parser::parse_ground_literal;
 
     #[test]
     fn p5_skeptical_is_exactly_c() {
         // Example 5: stable models {a,¬b,c} and {¬a,b,c}; the skeptical
         // consequences are {c} — here equal to the least model.
-        let (w, g) = ground(
-            "module c2 { a. b. c. }
-             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
-        );
+        let (w, g) = ground(P5);
         let v = View::new(&g, CompId(1));
         let sk = skeptical_consequences(&v, g.n_atoms);
         assert_eq!(sk.render(&w), "{c}");

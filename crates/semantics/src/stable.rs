@@ -14,65 +14,10 @@
 //!   validating Prop. 2 on small programs) branches over the whole atom
 //!   universe and is meant for small `n` only.
 
-use crate::assumption::is_assumption_free;
 use crate::model::is_model;
 use crate::view::View;
 use olp_core::Interpretation;
 use olp_core::{AtomId, Budget, Eval, FxHashSet, GLit, InterruptReason, Interrupted};
-
-/// Enumerates every assumption-free model of the view.
-///
-/// Exact but exponential in the number of derivable atoms; intended for
-/// programs whose *contested* part is small (the paper's examples, the
-/// benchmark generators). The result always contains the least model.
-pub fn enumerate_assumption_free(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    enumerate_assumption_free_budgeted(view, n_atoms, &Budget::unlimited(), None).into_value()
-}
-
-/// [`enumerate_assumption_free`] under a [`Budget`], optionally capped
-/// at `max_models` results.
-///
-/// **Anytime guarantee:** every interpretation in a partial result
-/// passed the exact leaf checks (model + assumption-free), so the
-/// partial list is always a subset of the unbudgeted enumeration —
-/// just possibly incomplete.
-pub fn enumerate_assumption_free_budgeted(
-    view: &View,
-    _n_atoms: usize,
-    budget: &Budget,
-    max_models: Option<usize>,
-) -> Eval<Vec<Interpretation>> {
-    let d = match derivability_closure_budgeted(view, budget) {
-        Ok(d) => d,
-        Err(reason) => {
-            return Eval::Interrupted(Interrupted {
-                reason,
-                partial: Vec::new(),
-            })
-        }
-    };
-
-    // Branch atoms: atoms derivable in at least one sign; per-atom
-    // candidate values derived from which signs are derivable.
-    let mut atoms: Vec<AtomId> = d
-        .iter()
-        .map(|l| l.atom())
-        .collect::<FxHashSet<_>>()
-        .into_iter()
-        .collect();
-    atoms.sort_unstable();
-
-    let mut out = Vec::new();
-    let mut cur = Interpretation::new();
-    let cap = max_models.unwrap_or(usize::MAX);
-    match search_af(view, &d, &atoms, 0, &mut cur, &mut out, budget, cap) {
-        Ok(()) => Eval::Complete(out),
-        Err(reason) => Eval::Interrupted(Interrupted {
-            reason,
-            partial: out,
-        }),
-    }
-}
 
 /// The derivability closure `D` of a view: the `T`-fixpoint of all its
 /// rules with statuses ignored. Every assumption-free model is `⊆ D`
@@ -81,80 +26,40 @@ pub fn enumerate_assumption_free_budgeted(
 /// [`crate::assumption::t_fixpoint`] it tolerates complementary heads —
 /// it is a *bound*, not an interpretation.
 pub fn derivability_closure(view: &View) -> FxHashSet<GLit> {
-    derivability_closure_budgeted(view, &Budget::unlimited())
+    branch_space(view, &Budget::unlimited())
         .expect("unlimited budget cannot interrupt")
+        .0
 }
 
-pub(crate) fn derivability_closure_budgeted(
+/// The search space of assumption-free enumeration: the derivability
+/// closure `D` and its atoms, sorted — the only atoms worth branching
+/// on (each may take the values whose signs `D` contains, or stay
+/// undefined).
+pub(crate) fn branch_space(
     view: &View,
     budget: &Budget,
-) -> Result<FxHashSet<GLit>, InterruptReason> {
-    let all_rules: Vec<(GLit, Box<[GLit]>)> = view
-        .rules()
-        .map(|(_, r)| (r.head, r.body.clone()))
-        .collect();
-    t_closure_both_signs(&all_rules, budget)
-}
-
-fn t_closure_both_signs(
-    rules: &[(GLit, Box<[GLit]>)],
-    budget: &Budget,
-) -> Result<FxHashSet<GLit>, InterruptReason> {
+) -> Result<(FxHashSet<GLit>, Vec<AtomId>), InterruptReason> {
     let mut d: FxHashSet<GLit> = FxHashSet::default();
     loop {
         let mut changed = false;
-        for (head, body) in rules {
+        for (_, r) in view.rules() {
             budget.tick()?;
-            if !d.contains(head) && body.iter().all(|b| d.contains(b)) {
-                d.insert(*head);
+            if !d.contains(&r.head) && r.body.iter().all(|b| d.contains(b)) {
+                d.insert(r.head);
                 changed = true;
             }
         }
         if !changed {
-            return Ok(d);
+            let mut atoms: Vec<AtomId> = d
+                .iter()
+                .map(|l| l.atom())
+                .collect::<FxHashSet<_>>()
+                .into_iter()
+                .collect();
+            atoms.sort_unstable();
+            return Ok((d, atoms));
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search_af(
-    view: &View,
-    d: &FxHashSet<GLit>,
-    atoms: &[AtomId],
-    at: usize,
-    cur: &mut Interpretation,
-    out: &mut Vec<Interpretation>,
-    budget: &Budget,
-    cap: usize,
-) -> Result<(), InterruptReason> {
-    budget.tick()?;
-    if at == atoms.len() {
-        if is_model_for_af_search(view, cur) && is_assumption_free(view, cur) {
-            out.push(cur.clone());
-            if out.len() >= cap {
-                return Err(InterruptReason::ModelCap);
-            }
-        }
-        return Ok(());
-    }
-    let a = atoms[at];
-    // Undefined branch.
-    search_af(view, d, atoms, at + 1, cur, out, budget, cap)?;
-    // True branch (only if the positive literal is derivable).
-    if d.contains(&GLit::pos(a)) {
-        cur.insert(GLit::pos(a)).expect("fresh atom");
-        let r = search_af(view, d, atoms, at + 1, cur, out, budget, cap);
-        cur.remove(GLit::pos(a));
-        r?;
-    }
-    // False branch.
-    if d.contains(&GLit::neg(a)) {
-        cur.insert(GLit::neg(a)).expect("fresh atom");
-        let r = search_af(view, d, atoms, at + 1, cur, out, budget, cap);
-        cur.remove(GLit::neg(a));
-        r?;
-    }
-    Ok(())
 }
 
 /// Definition 3 evaluated by iterating rules instead of the atom
@@ -186,53 +91,6 @@ pub(crate) fn is_model_for_af_search(view: &View, m: &Interpretation) -> bool {
     true
 }
 
-/// Enumerates **all** models (Definition 3) over the full atom universe
-/// `0..n_atoms`, optionally restricted to supersets of `superset`.
-///
-/// 3^n worst case — use on small programs (the paper's examples, the
-/// Prop. 2 validation suite).
-pub fn enumerate_models(
-    view: &View,
-    n_atoms: usize,
-    superset: Option<&Interpretation>,
-) -> Vec<Interpretation> {
-    let mut cur = match superset {
-        Some(s) => s.clone(),
-        None => Interpretation::new(),
-    };
-    let free: Vec<AtomId> = (0..n_atoms as u32)
-        .map(AtomId)
-        .filter(|&a| cur.undefined(a))
-        .collect();
-    let mut out = Vec::new();
-    search_all(view, n_atoms, &free, 0, &mut cur, &mut out);
-    out
-}
-
-fn search_all(
-    view: &View,
-    n_atoms: usize,
-    free: &[AtomId],
-    at: usize,
-    cur: &mut Interpretation,
-    out: &mut Vec<Interpretation>,
-) {
-    if at == free.len() {
-        if is_model(view, cur, n_atoms) {
-            out.push(cur.clone());
-        }
-        return;
-    }
-    let a = free[at];
-    search_all(view, n_atoms, free, at + 1, cur, out);
-    cur.insert(GLit::pos(a)).expect("fresh atom");
-    search_all(view, n_atoms, free, at + 1, cur, out);
-    cur.remove(GLit::pos(a));
-    cur.insert(GLit::neg(a)).expect("fresh atom");
-    search_all(view, n_atoms, free, at + 1, cur, out);
-    cur.remove(GLit::neg(a));
-}
-
 /// Keeps only the maximal interpretations under literal-set inclusion.
 pub fn maximal_only(models: Vec<Interpretation>) -> Vec<Interpretation> {
     let keep: Vec<bool> = models
@@ -248,134 +106,44 @@ pub fn maximal_only(models: Vec<Interpretation>) -> Vec<Interpretation> {
     out
 }
 
-/// Budgeted [`maximal_only`]: same result on completion, but the
-/// quadratic pairwise filter ticks the budget once per comparison, so
-/// a deadline or cancellation stops it promptly even over a huge model
-/// set (an interrupted enumeration can hand this function hundreds of
-/// thousands of candidates). On interruption no enumerated model is
-/// dropped: the not-yet-confirmed remainder is appended unfiltered, so
-/// the partial set may contain non-maximal assumption-free models —
-/// which the `Interrupted` wrapper already signals.
-pub fn maximal_only_budgeted(
-    models: Vec<Interpretation>,
-    budget: &Budget,
-) -> Eval<Vec<Interpretation>> {
-    if budget.is_unlimited() {
-        return Eval::Complete(maximal_only(models));
+/// Def. 9 over an assumption-free enumeration: keeps the maximal
+/// models of a complete list. A partial list is filtered only when that
+/// is provably cheap — the budget is already spent, and `maximal_only`
+/// is quadratic, so a 1-second deadline must not be followed by a
+/// 10-second filter. An unfiltered partial list satisfies the same
+/// anytime guarantee (every member is a genuine AF model; maximality is
+/// relative to what was explored).
+pub(crate) fn maximal_of(eval: Eval<Vec<Interpretation>>) -> Eval<Vec<Interpretation>> {
+    const CHEAP_FILTER: usize = 1024;
+    match eval {
+        Eval::Complete(ms) => Eval::Complete(maximal_only(ms)),
+        Eval::Interrupted(Interrupted { reason, partial }) => Eval::Interrupted(Interrupted {
+            reason,
+            partial: if partial.len() <= CHEAP_FILTER {
+                maximal_only(partial)
+            } else {
+                partial
+            },
+        }),
     }
-    let mut ticker = budget.ticker();
-    let mut out: Vec<Interpretation> = Vec::new();
-    for (i, m) in models.iter().enumerate() {
-        let mut interrupted = None;
-        let mut keep = true;
-        for n in &models {
-            if let Err(reason) = ticker.tick() {
-                interrupted = Some(reason);
-                break;
-            }
-            if m.is_proper_subset(n) {
-                keep = false;
-                break;
-            }
-        }
-        if keep && interrupted.is_none() {
-            for n in &out {
-                if let Err(reason) = ticker.tick() {
-                    interrupted = Some(reason);
-                    break;
-                }
-                if n == m {
-                    keep = false;
-                    break;
-                }
-            }
-        }
-        if let Some(reason) = interrupted {
-            drop(ticker);
-            let mut partial = out;
-            partial.extend_from_slice(&models[i..]);
-            return Eval::Interrupted(Interrupted { reason, partial });
-        }
-        if keep {
-            out.push(m.clone());
-        }
-    }
-    Eval::Complete(out)
 }
 
 /// The **stable models**: maximal assumption-free models (Definition 9).
 ///
-/// Splits the view into independent rule groups first
-/// ([`crate::decomp::stable_models_decomposed`]) and solves each with
-/// the propagating enumerator
-/// ([`crate::stable_solver::enumerate_assumption_free_propagating`]);
-/// the plain enumerator ([`enumerate_assumption_free`]) is kept as the
-/// differential-testing reference (`stable_models_naive`), and
-/// [`crate::stable_solver::stable_models_propagating`] as the
-/// undecomposed (`--no-decomp`) path.
+/// Splits the view into independent rule groups first and solves each
+/// with the propagating enumerator
+/// ([`crate::stable_models_decomposed`], which also takes a budget, a
+/// cap and a group memo); [`crate::reference::stable_models_naive`] is
+/// the differential-testing oracle.
 pub fn stable_models(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    crate::decomp::stable_models_decomposed(view, n_atoms)
-}
-
-/// [`stable_models`] under a [`Budget`], optionally capped at
-/// `max_models` *assumption-free* models explored.
-///
-/// **Anytime guarantee:** every interpretation in a partial result is
-/// a genuine assumption-free model (a member of the unbudgeted
-/// assumption-free enumeration). Maximality, however, is relative to
-/// the models found before the interruption — with a partial result a
-/// listed model may be subsumed by an undiscovered larger one, so
-/// treat partial entries as "best stable candidates so far".
-pub fn stable_models_budgeted(
-    view: &View,
-    n_atoms: usize,
-    budget: &Budget,
-    max_models: Option<usize>,
-) -> Eval<Vec<Interpretation>> {
-    crate::decomp::stable_models_decomposed_budgeted(view, n_atoms, budget, max_models)
-}
-
-/// [`stable_models_budgeted`] without the group decomposition: one
-/// monolithic propagating search over the whole view. The `--no-decomp`
-/// escape hatch, and the fallback when the view is a single group.
-pub fn stable_models_monolithic_budgeted(
-    view: &View,
-    n_atoms: usize,
-    budget: &Budget,
-    max_models: Option<usize>,
-) -> Eval<Vec<Interpretation>> {
-    match crate::stable_solver::enumerate_assumption_free_propagating_budgeted(
-        view, n_atoms, budget, max_models,
-    ) {
-        Eval::Complete(ms) => Eval::Complete(maximal_only(ms)),
-        Eval::Interrupted(Interrupted { reason, partial }) => {
-            // The budget is already spent here, and `maximal_only` is
-            // quadratic — on a large partial list it could cost far more
-            // than the limit it just enforced (a 1-second deadline must
-            // not be followed by a 10-second filter). Filter only when
-            // it is provably cheap; otherwise return the raw
-            // assumption-free list, which satisfies the same anytime
-            // guarantee (every member is a genuine AF model).
-            const CHEAP_FILTER: usize = 1024;
-            let partial = if partial.len() <= CHEAP_FILTER {
-                maximal_only(partial)
-            } else {
-                partial
-            };
-            Eval::Interrupted(Interrupted { reason, partial })
-        }
-    }
-}
-
-/// [`stable_models`] via the reference (non-propagating) enumerator.
-pub fn stable_models_naive(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    maximal_only(enumerate_assumption_free(view, n_atoms))
+    crate::decomp::stable_models_decomposed(view, n_atoms, &Budget::unlimited(), None, None)
+        .into_value()
 }
 
 /// Whether a **total** model exists over `0..n_atoms` (Definition 5a).
 /// Exponential; small programs only.
 pub fn has_total_model(view: &View, n_atoms: usize) -> bool {
-    enumerate_models(view, n_atoms, None)
+    crate::reference::enumerate_models(view, n_atoms, None)
         .iter()
         .any(|m| m.is_total(n_atoms))
 }
@@ -384,7 +152,7 @@ pub fn has_total_model(view: &View, n_atoms: usize) -> bool {
 /// that is a proper subset of no other model. Exact via enumeration of
 /// superset models; exponential; small programs only.
 pub fn extend_to_exhaustive(view: &View, m: &Interpretation, n_atoms: usize) -> Interpretation {
-    let supers = enumerate_models(view, n_atoms, Some(m));
+    let supers = crate::reference::enumerate_models(view, n_atoms, Some(m));
     // `m` itself is among the candidates when it is a model; Prop. 2
     // guarantees a maximal one exists.
     maximal_only(supers)
@@ -399,7 +167,7 @@ pub fn is_exhaustive(view: &View, m: &Interpretation, n_atoms: usize) -> bool {
     if !is_model(view, m, n_atoms) {
         return false;
     }
-    enumerate_models(view, n_atoms, Some(m))
+    crate::reference::enumerate_models(view, n_atoms, Some(m))
         .iter()
         .all(|n| !m.is_proper_subset(n))
 }
@@ -408,51 +176,32 @@ pub fn is_exhaustive(view: &View, m: &Interpretation, n_atoms: usize) -> bool {
 mod tests {
     use super::*;
     use crate::fixpoint::least_model;
-    use olp_core::{CompId, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::{parse_ground_literal, parse_program};
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
-
-    fn render_all(w: &World, ms: &[Interpretation]) -> Vec<String> {
-        let mut v: Vec<String> = ms.iter().map(|m| m.render(w)).collect();
-        v.sort();
-        v
-    }
+    use crate::reference::{enumerate_assumption_free, enumerate_models};
+    use crate::test_util::{ground, renders, FIG2, P5};
+    use olp_core::{AtomId, CompId};
+    use olp_parser::parse_ground_literal;
 
     #[test]
     fn example5_two_stable_models() {
-        let (w, g) = ground(
-            "module c2 { a. b. c. }
-             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
-        );
+        let (w, g) = ground(P5);
         let v = View::new(&g, CompId(1));
         let af = enumerate_assumption_free(&v, g.n_atoms);
         // {c} is assumption-free but not stable.
-        assert!(render_all(&w, &af).contains(&"{c}".to_string()));
+        assert!(renders(&w, &af).contains(&"{c}".to_string()));
         let stable = stable_models(&v, g.n_atoms);
         assert_eq!(
-            render_all(&w, &stable),
+            renders(&w, &stable),
             vec!["{-a, b, c}".to_string(), "{-b, a, c}".to_string()]
         );
     }
 
     #[test]
     fn fig2_no_total_model_and_empty_stable() {
-        let (w, g) = ground(
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
-        );
+        let (w, g) = ground(FIG2);
         let v = View::new(&g, CompId(2));
         assert!(!has_total_model(&v, g.n_atoms));
         let stable = stable_models(&v, g.n_atoms);
-        assert_eq!(render_all(&w, &stable), vec!["{}".to_string()]);
+        assert_eq!(renders(&w, &stable), vec!["{}".to_string()]);
     }
 
     #[test]
@@ -460,7 +209,7 @@ mod tests {
         let (mut w, g) = ground("a :- b.");
         let v = View::new(&g, CompId(0));
         let stable = stable_models(&v, g.n_atoms);
-        assert_eq!(render_all(&w, &stable), vec!["{}".to_string()]);
+        assert_eq!(renders(&w, &stable), vec!["{}".to_string()]);
         // {-a,-b} is a model (an exhaustive one, even) but not
         // assumption-free, hence not stable.
         let nn = Interpretation::from_literals([
@@ -476,8 +225,7 @@ mod tests {
     #[test]
     fn least_model_is_subset_of_every_stable_model() {
         for src in [
-            "module c2 { a. b. c. }
-             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
+            P5,
             "a :- b. -a :- b. b.",
             "module c2 { p. -q. } module c1 < c2 { q :- p. }",
         ] {

@@ -1,6 +1,6 @@
 //! A propagating enumerator for assumption-free models.
 //!
-//! [`crate::stable::enumerate_assumption_free`] branches 3-ways per
+//! [`crate::reference::enumerate_assumption_free`] branches 3-ways per
 //! derivable atom and checks Definition 3 + Theorem 1a only at the
 //! leaves. This solver adds **unit propagation** derived from
 //! Definition 3, pruning entire subtrees:
@@ -20,108 +20,27 @@
 //! completion of the partial assignment, so the enumeration stays
 //! complete. Leaves still run the exact model + assumption-free checks;
 //! the output is set-equal to the naive enumerator (differentially
-//! property-tested in `tests/theorems.rs`).
+//! property-tested in `tests/theorems.rs`). The search is sequential:
+//! independent rule groups are split off beforehand
+//! ([`crate::decomp`]), and the stable-model cap stays exact.
 
 use crate::assumption::is_assumption_free;
-use crate::stable::maximal_only;
 use crate::view::{LocalIdx, View};
 use olp_core::{
     AtomId, Budget, Eval, FxHashMap, FxHashSet, GLit, Interpretation, InterruptReason, Interrupted,
     Sign,
 };
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 
 const UNKNOWN: u8 = 0;
 const TRUE: u8 = 1;
 const FALSE: u8 = 2;
 const UNDEF: u8 = 3;
 
-fn encode_reason(r: InterruptReason) -> u8 {
-    match r {
-        InterruptReason::Steps => 1,
-        InterruptReason::Deadline => 2,
-        InterruptReason::Cancelled => 3,
-        InterruptReason::ModelCap => 4,
-    }
-}
-
-/// Inverse of [`encode_reason`]. Code 0 is the governor's "no reason
-/// latched yet" sentinel and is never decoded (every decode site reads
-/// the cell only after a trip stored a non-zero code); any other
-/// unknown code is a logic error, not a silent `Cancelled`.
-fn decode_reason(code: u8) -> InterruptReason {
-    match code {
-        1 => InterruptReason::Steps,
-        2 => InterruptReason::Deadline,
-        3 => InterruptReason::Cancelled,
-        4 => InterruptReason::ModelCap,
-        other => {
-            debug_assert!(false, "decode_reason: unknown reason code {other}");
-            InterruptReason::Cancelled
-        }
-    }
-}
-
-/// Shared governor state for one enumeration: the budget handle plus
-/// the cross-worker model count and first-interrupt latch. Sequential
-/// searches use a private instance; the parallel enumerator shares one
-/// across its crossbeam workers so a cap or budget trip stops all of
-/// them cooperatively.
-struct Governor<'b> {
-    budget: &'b Budget,
-    /// Stop enumerating once this many models have been found.
-    cap: usize,
-    found: AtomicUsize,
-    stopped: AtomicBool,
-    reason: AtomicU8,
-}
-
-impl<'b> Governor<'b> {
-    fn new(budget: &'b Budget, max_models: Option<usize>) -> Self {
-        Governor {
-            budget,
-            cap: max_models.unwrap_or(usize::MAX),
-            found: AtomicUsize::new(0),
-            stopped: AtomicBool::new(false),
-            reason: AtomicU8::new(0),
-        }
-    }
-
-    /// Latch the first interrupt reason and raise the stop flag.
-    fn trip(&self, r: InterruptReason) -> InterruptReason {
-        let _ =
-            self.reason
-                .compare_exchange(0, encode_reason(r), Ordering::Relaxed, Ordering::Relaxed);
-        self.stopped.store(true, Ordering::Release);
-        decode_reason(self.reason.load(Ordering::Relaxed))
-    }
-
-    /// Per-node gate: observes a prior trip, the model cap, and the
-    /// budget (one tick charged per call).
-    #[inline]
-    fn gate(&self) -> Result<(), InterruptReason> {
-        if self.stopped.load(Ordering::Acquire) {
-            return Err(decode_reason(self.reason.load(Ordering::Relaxed)));
-        }
-        if self.found.load(Ordering::Relaxed) >= self.cap {
-            return Err(self.trip(InterruptReason::ModelCap));
-        }
-        self.budget.tick().map_err(|r| self.trip(r))
-    }
-
-    /// The latched trip reason, if any worker tripped the governor.
-    fn tripped_reason(&self) -> Option<InterruptReason> {
-        if self.stopped.load(Ordering::Acquire) {
-            Some(decode_reason(self.reason.load(Ordering::Relaxed)))
-        } else {
-            None
-        }
-    }
-}
-
-#[derive(Clone)]
 struct Solver<'a, 'g> {
     view: &'a View<'g>,
+    budget: &'a Budget,
+    /// Stop enumerating once this many models have been found.
+    cap: usize,
     /// Derivability closure (bound on every AF model).
     d: FxHashSet<GLit>,
     /// Branch atoms and their index in the assignment vector.
@@ -136,7 +55,13 @@ struct Solver<'a, 'g> {
 }
 
 impl<'a, 'g> Solver<'a, 'g> {
-    fn new(view: &'a View<'g>, d: FxHashSet<GLit>, atoms: Vec<AtomId>) -> Self {
+    fn new(
+        view: &'a View<'g>,
+        budget: &'a Budget,
+        cap: usize,
+        d: FxHashSet<GLit>,
+        atoms: Vec<AtomId>,
+    ) -> Self {
         let slot: FxHashMap<AtomId, usize> =
             atoms.iter().enumerate().map(|(i, &a)| (a, i)).collect();
         // The P1 condition of a rule reads its body atoms, its head atom
@@ -169,6 +94,8 @@ impl<'a, 'g> Solver<'a, 'g> {
         }
         Solver {
             view,
+            budget,
+            cap,
             d,
             atoms,
             slot,
@@ -279,11 +206,10 @@ impl<'a, 'g> Solver<'a, 'g> {
     fn propagate(
         &self,
         assign: &mut [u8],
-        gov: &Governor,
         dirty: &mut Vec<LocalIdx>,
     ) -> Result<bool, InterruptReason> {
         while let Some(li) = dirty.pop() {
-            gov.budget.tick().map_err(|r| gov.trip(r))?;
+            self.budget.tick()?;
             let r = self.view.rule(li);
             // P1: forced firing.
             if self.surely_applicable(assign, li)
@@ -346,11 +272,13 @@ impl<'a, 'g> Solver<'a, 'g> {
     fn search(
         &mut self,
         assign: &mut [u8],
-        gov: &Governor,
         dirty: &mut Vec<LocalIdx>,
     ) -> Result<(), InterruptReason> {
-        gov.gate()?;
-        if !self.propagate(assign, gov, dirty)? {
+        if self.out.len() >= self.cap {
+            return Err(InterruptReason::ModelCap);
+        }
+        self.budget.tick()?;
+        if !self.propagate(assign, dirty)? {
             return Ok(());
         }
         match assign.iter().position(|&s| s == UNKNOWN) {
@@ -372,8 +300,8 @@ impl<'a, 'g> Solver<'a, 'g> {
                     && is_assumption_free(self.view, &m)
                 {
                     self.out.push(m);
-                    if gov.found.fetch_add(1, Ordering::Relaxed) + 1 >= gov.cap {
-                        return Err(gov.trip(InterruptReason::ModelCap));
+                    if self.out.len() >= self.cap {
+                        return Err(InterruptReason::ModelCap);
                     }
                 }
                 Ok(())
@@ -393,7 +321,7 @@ impl<'a, 'g> Solver<'a, 'g> {
                     child[i] = v;
                     // Only rules watching the branched atom can react.
                     let mut child_dirty = self.watchers[i].clone();
-                    self.search(&mut child, gov, &mut child_dirty)?;
+                    self.search(&mut child, &mut child_dirty)?;
                 }
                 Ok(())
             }
@@ -402,7 +330,7 @@ impl<'a, 'g> Solver<'a, 'g> {
 }
 
 /// Enumerates every assumption-free model with unit propagation.
-/// Set-equal to [`crate::stable::enumerate_assumption_free`], usually
+/// Set-equal to [`crate::reference::enumerate_assumption_free`], usually
 /// much faster on programs with forced structure.
 pub fn enumerate_assumption_free_propagating(view: &View, n_atoms: usize) -> Vec<Interpretation> {
     enumerate_assumption_free_propagating_budgeted(view, n_atoms, &Budget::unlimited(), None)
@@ -421,8 +349,8 @@ pub fn enumerate_assumption_free_propagating_budgeted(
     budget: &Budget,
     max_models: Option<usize>,
 ) -> Eval<Vec<Interpretation>> {
-    let d = match crate::stable::derivability_closure_budgeted(view, budget) {
-        Ok(d) => d,
+    let (d, atoms) = match crate::stable::branch_space(view, budget) {
+        Ok(space) => space,
         Err(reason) => {
             return Eval::Interrupted(Interrupted {
                 reason,
@@ -430,18 +358,11 @@ pub fn enumerate_assumption_free_propagating_budgeted(
             })
         }
     };
-    let mut atoms: Vec<AtomId> = d
-        .iter()
-        .map(|l| l.atom())
-        .collect::<FxHashSet<_>>()
-        .into_iter()
-        .collect();
-    atoms.sort_unstable();
-    let gov = Governor::new(budget, max_models);
-    let mut solver = Solver::new(view, d, atoms);
+    let cap = max_models.unwrap_or(usize::MAX);
+    let mut solver = Solver::new(view, budget, cap, d, atoms);
     let mut assign = vec![UNKNOWN; solver.atoms.len()];
     let mut dirty = solver.all_rules();
-    match solver.search(&mut assign, &gov, &mut dirty) {
+    match solver.search(&mut assign, &mut dirty) {
         Ok(()) => Eval::Complete(solver.out),
         Err(reason) => Eval::Interrupted(Interrupted {
             reason,
@@ -450,270 +371,20 @@ pub fn enumerate_assumption_free_propagating_budgeted(
     }
 }
 
-/// Stable models via the propagating enumerator.
-pub fn stable_models_propagating(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    maximal_only(enumerate_assumption_free_propagating(view, n_atoms))
-}
-
-/// Enumerates assumption-free models in parallel: the top of the search
-/// tree is expanded into at least `2 × threads` propagated prefixes,
-/// which worker threads then complete independently (the search below a
-/// prefix shares no mutable state). Set-equal to the sequential
-/// enumerators; worthwhile when the contested core is large.
-pub fn enumerate_assumption_free_parallel(
-    view: &View,
-    n_atoms: usize,
-    threads: usize,
-) -> Vec<Interpretation> {
-    enumerate_assumption_free_parallel_budgeted(view, n_atoms, threads, &Budget::unlimited(), None)
-        .into_value()
-}
-
-/// [`enumerate_assumption_free_parallel`] under a shared [`Budget`].
-///
-/// All workers share one [`Governor`], so cancellation / exhaustion on
-/// any thread stops the whole fleet promptly; the partial result is the
-/// merged, deduplicated union of what every worker had verified so far
-/// (each entry passed the exact leaf checks, so the partial list is a
-/// subset of the unbudgeted enumeration).
-pub fn enumerate_assumption_free_parallel_budgeted(
-    view: &View,
-    _n_atoms: usize,
-    threads: usize,
-    budget: &Budget,
-    max_models: Option<usize>,
-) -> Eval<Vec<Interpretation>> {
-    // Group-level parallelism first: when the view splits into
-    // independent rule groups, whole groups are distributed to the
-    // workers and the per-group model sets combined as a product
-    // ([`crate::decomp`]). Prefix splitting below is the fallback for a
-    // single connected group.
-    let decomp = crate::decomp::Decomposition::new(view);
-    if decomp.groups().len() > 1 {
-        return crate::decomp::enumerate_af_groups_parallel(
-            view, &decomp, threads, budget, max_models,
-        );
-    }
-    let d = match crate::stable::derivability_closure_budgeted(view, budget) {
-        Ok(d) => d,
-        Err(reason) => {
-            return Eval::Interrupted(Interrupted {
-                reason,
-                partial: Vec::new(),
-            })
-        }
-    };
-    let mut atoms: Vec<AtomId> = d
-        .iter()
-        .map(|l| l.atom())
-        .collect::<FxHashSet<_>>()
-        .into_iter()
-        .collect();
-    atoms.sort_unstable();
-    let threads = threads.max(1);
-    let gov = Governor::new(budget, max_models);
-
-    // Breadth-first expansion of the prefix frontier, with propagation
-    // applied at every step so dead prefixes never spawn work.
-    let seed_solver = Solver::new(view, d, atoms);
-    let mut root = vec![UNKNOWN; seed_solver.atoms.len()];
-    let mut root_dirty = seed_solver.all_rules();
-    match seed_solver.propagate(&mut root, &gov, &mut root_dirty) {
-        Ok(true) => {}
-        // Root conflict: no assumption-free model exists at all.
-        Ok(false) => return Eval::Complete(Vec::new()),
-        Err(reason) => {
-            return Eval::Interrupted(Interrupted {
-                reason,
-                partial: Vec::new(),
-            })
-        }
-    }
-    let mut frontier: Vec<Vec<u8>> = vec![root];
-    let mut leaves: Vec<Vec<u8>> = Vec::new();
-    while frontier.len() < threads * 2 {
-        let Some(pos) = frontier.iter().position(|a| a.contains(&UNKNOWN)) else {
-            break;
-        };
-        let assign = frontier.swap_remove(pos);
-        let i = assign
-            .iter()
-            .position(|&s| s == UNKNOWN)
-            .expect("checked above");
-        let atom = seed_solver.atoms[i];
-        let mut options = vec![UNDEF];
-        if seed_solver.d.contains(&GLit::pos(atom)) {
-            options.push(TRUE);
-        }
-        if seed_solver.d.contains(&GLit::neg(atom)) {
-            options.push(FALSE);
-        }
-        for v in options {
-            let mut child = assign.clone();
-            child[i] = v;
-            let mut child_dirty = seed_solver.watchers[i].clone();
-            match seed_solver.propagate(&mut child, &gov, &mut child_dirty) {
-                Ok(true) => {
-                    if child.contains(&UNKNOWN) {
-                        frontier.push(child);
-                    } else {
-                        leaves.push(child);
-                    }
-                }
-                Ok(false) => {}
-                // Interrupted before any leaf was verified: no model in
-                // the partial result is unsound, so return the empty list.
-                Err(reason) => {
-                    return Eval::Interrupted(Interrupted {
-                        reason,
-                        partial: Vec::new(),
-                    })
-                }
-            }
-        }
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    frontier.extend(leaves);
-
-    // Complete each prefix on a worker thread. Every worker shares the
-    // one governor, so the first budget trip (on any thread) stops the
-    // whole fleet at its next gate.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<Vec<Interpretation>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let frontier = &frontier;
-                let next = &next;
-                let seed_solver = &seed_solver;
-                let gov = &gov;
-                scope.spawn(move |_| {
-                    let mut solver = seed_solver.clone();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= frontier.len() {
-                            return solver.out;
-                        }
-                        let mut assign = frontier[i].clone();
-                        // Prefixes were propagated to fixpoint during
-                        // expansion, so the dirty queue starts empty.
-                        if solver.search(&mut assign, gov, &mut Vec::new()).is_err() {
-                            // Keep whatever this worker verified; the
-                            // reason is latched in the governor.
-                            return solver.out;
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
-    })
-    .expect("scope");
-
-    let mut out: Vec<Interpretation> = results.into_iter().flatten().collect();
-    // Deduplicate (distinct prefixes can propagate to the same complete
-    // assignment only if they were duplicated in the frontier split —
-    // they cannot, but dedup defensively and deterministically).
-    out.sort_by(|a, b| {
-        a.literals()
-            .collect::<Vec<_>>()
-            .cmp(&b.literals().collect::<Vec<_>>())
-    });
-    out.dedup();
-    match gov.tripped_reason() {
-        // A ModelCap trip with the cap actually reached is still a cap
-        // interruption (the enumeration is intentionally truncated).
-        Some(reason) => Eval::Interrupted(Interrupted {
-            reason,
-            partial: out,
-        }),
-        None => Eval::Complete(out),
-    }
-}
-
-/// Stable models via the parallel enumerator.
-pub fn stable_models_parallel(view: &View, n_atoms: usize, threads: usize) -> Vec<Interpretation> {
-    maximal_only(enumerate_assumption_free_parallel(view, n_atoms, threads))
-}
-
-/// Budgeted stable models via the parallel enumerator: parallel
-/// assumption-free enumeration followed by the **budgeted** maximality
-/// filter ([`crate::stable::maximal_only_budgeted`]). The filter must
-/// share the budget: an enumeration interrupted by a deadline can hand
-/// it a huge candidate set, and an unbudgeted quadratic pass would then
-/// dwarf the deadline it was meant to honour. When the enumeration was
-/// itself interrupted its reason wins, and the partial set may contain
-/// non-maximal assumption-free models (the filter gets no budget left).
-pub fn stable_models_parallel_budgeted(
-    view: &View,
-    n_atoms: usize,
-    threads: usize,
-    budget: &Budget,
-    max_models: Option<usize>,
-) -> Eval<Vec<Interpretation>> {
-    let (af, reason) = match enumerate_assumption_free_parallel_budgeted(
-        view, n_atoms, threads, budget, max_models,
-    ) {
-        Eval::Complete(ms) => (ms, None),
-        Eval::Interrupted(i) => (i.partial, Some(i.reason)),
-    };
-    let filtered = crate::stable::maximal_only_budgeted(af, budget);
-    match reason {
-        None => filtered,
-        Some(reason) => Eval::Interrupted(Interrupted {
-            reason,
-            partial: filtered.into_value(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stable::{enumerate_assumption_free, stable_models};
-    use olp_core::{CompId, World};
-    use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::parse_program;
-
-    fn ground(src: &str) -> (World, GroundProgram) {
-        let mut w = World::new();
-        let p = parse_program(&mut w, src).unwrap();
-        let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        (w, g)
-    }
-
-    fn renders(w: &World, ms: &[Interpretation]) -> Vec<String> {
-        let mut v: Vec<String> = ms.iter().map(|m| m.render(w)).collect();
-        v.sort();
-        v
-    }
-
-    #[test]
-    fn interrupt_reason_codes_round_trip() {
-        use InterruptReason::*;
-        for r in [Steps, Deadline, Cancelled, ModelCap] {
-            assert_eq!(decode_reason(encode_reason(r)), r);
-            assert_ne!(
-                encode_reason(r),
-                0,
-                "0 is the governor's unset sentinel and must stay unused"
-            );
-        }
-    }
+    use crate::reference::{enumerate_assumption_free, stable_models_monolithic_budgeted};
+    use crate::stable::stable_models;
+    use crate::test_util::{ground, renders, FIG2, P5};
+    use olp_core::CompId;
 
     #[test]
     fn agrees_with_naive_on_paper_programs() {
         for src in [
-            "module c2 { a. b. c. }
-             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
+            P5,
             "a :- b. -a :- b. b.",
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
+            FIG2,
             "module c2 { bird(penguin). bird(pigeon). fly(X) :- bird(X).
                 -ground_animal(X) :- bird(X). }
              module c1 < c2 { ground_animal(penguin). -fly(X) :- ground_animal(X). }",
@@ -730,36 +401,13 @@ mod tests {
                     renders(&w, &prop),
                     "AF sets differ on {src} in component {ci}"
                 );
+                let monolithic =
+                    stable_models_monolithic_budgeted(&v, g.n_atoms, &Budget::unlimited(), None);
                 assert_eq!(
                     renders(&w, &stable_models(&v, g.n_atoms)),
-                    renders(&w, &stable_models_propagating(&v, g.n_atoms)),
+                    renders(&w, monolithic.value()),
                     "stable sets differ on {src} in component {ci}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_agrees_with_sequential() {
-        for src in [
-            "module c2 { a. b. c. }
-             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
-            "module c2 { a. b. }
-             module c1 < c2 { -a :- b. -b :- a. r :- a. r :- b. }",
-            "p. -p. q :- p.",
-        ] {
-            let (w, g) = ground(src);
-            for ci in 0..g.order.len() {
-                let v = View::new(&g, CompId(ci as u32));
-                for threads in [1, 2, 4] {
-                    let seq = enumerate_assumption_free_propagating(&v, g.n_atoms);
-                    let par = enumerate_assumption_free_parallel(&v, g.n_atoms, threads);
-                    assert_eq!(
-                        renders(&w, &seq),
-                        renders(&w, &par),
-                        "{src} comp {ci} threads {threads}"
-                    );
-                }
             }
         }
     }

@@ -67,7 +67,7 @@ impl<'g> View<'g> {
     /// from the subset only: a rule outside `rules` neither fires nor
     /// attacks.
     ///
-    /// Used by the decomposition layer ([`crate::decomp`]), whose rule
+    /// Used by the decomposition layer ([`crate::Decomposition`]), whose rule
     /// groups are closed under head-atom sharing — every rule with a
     /// head complementary to an included rule's head is also included —
     /// so the attack structure inside the subset is exactly the attack
@@ -266,6 +266,7 @@ impl<'g> View<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::FIG2;
     use olp_core::World;
     use olp_ground::{ground_exhaustive, GroundConfig};
     use olp_parser::{parse_ground_literal, parse_program};
@@ -417,13 +418,7 @@ mod tests {
         // Fig. 2: rich/poor facts and rules defeat across incomparable
         // components; Fig. 1's ordered version has no mutual defeats.
         let mut w = World::new();
-        let p = parse_program(
-            &mut w,
-            "module c3 { rich(mimmo). -poor(X) :- rich(X). }
-             module c2 { poor(mimmo). -rich(X) :- poor(X). }
-             module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
-        )
-        .unwrap();
+        let p = parse_program(&mut w, FIG2).unwrap();
         let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
         let conflicts = View::new(&g, CompId(2)).mutual_defeats();
         // rich(mimmo) and poor(mimmo) are each contested.

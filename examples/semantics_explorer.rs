@@ -6,7 +6,7 @@
 //! `cargo run --example semantics_explorer [program.olp]`
 
 use ordered_logic::prelude::*;
-use ordered_logic::semantics::enumerate_models;
+use ordered_logic::semantics::reference::{enumerate_assumption_free, enumerate_models};
 
 const DEMO: &str = "
 % Example 5 of the paper: multiple stable models.

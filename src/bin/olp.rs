@@ -24,9 +24,7 @@
 //!        --db DIR / --durability MODE      serve a durable database (crash recovery included)
 //! common flags:
 //!        --exhaustive                      use the reference grounder (default: smart)
-//!        --no-decomp                       disable component-wise evaluation
-//!        --threads N                       worker threads (grounding + evaluation)
-//!        --morsel N                        target morsel weight for the parallel fixpoint
+//!        --threads N                       worker threads (grounding + least model)
 //!        --timeout SECS                    wall-clock limit; partial results, exit 124
 //!        --max-steps N                     engine work-unit limit; same degradation
 //!        --max-models N                    stop model enumeration after N models
@@ -34,21 +32,16 @@
 //!
 //! When a limit is hit the command prints whatever was computed so far,
 //! marks it with a `PARTIAL` banner, and exits with code **124** (the
-//! `timeout(1)` convention).
+//! `timeout(1)` convention). A flag the command line does not know is a
+//! usage error (exit 2). `models` and `query` evaluate through the
+//! knowledge base's read front door ([`Kb::read`]), under one budget
+//! shared with grounding.
 
 use ordered_logic::analyze::{analyze, Severity};
 use ordered_logic::ground::{FlatView, ProgramStats};
-use ordered_logic::kb::{
-    default_morsel_weight, default_threads, DurableKb, KbError, RecoveryReport,
-};
+use ordered_logic::kb::{default_threads, Answer, Ask, DurableKb, KbError, RecoveryReport};
 use ordered_logic::prelude::*;
-use ordered_logic::semantics::{
-    credulous_consequences_budgeted, enumerate_assumption_free_decomposed_budgeted,
-    enumerate_assumption_free_parallel_budgeted, enumerate_assumption_free_propagating_budgeted,
-    explain_in, flatten, least_model_monolithic_budgeted, least_model_morsel, render_why,
-    skeptical_consequences_budgeted, stable_models_budgeted, stable_models_monolithic_budgeted,
-    stable_models_parallel_budgeted, MorselCfg,
-};
+use ordered_logic::semantics::{explain_in, render_why, MorselCfg};
 use ordered_logic::store::Db;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -63,9 +56,9 @@ fn usage() -> ExitCode {
              --explain adds each component's program profile (stratification
              class, order-relevance, conflict counts, cardinality bounds);
              errors always exit 1, warnings only under --deny warnings
-  olp models FILE [COMPONENT] [--least|--stable|--af|--skeptical|--credulous|--all-semantics] [--exhaustive] [--no-decomp]
-  olp query  FILE COMPONENT PATTERN [--explain] [--exhaustive] [--no-decomp]
-  olp repl   [FILE] [--db DIR] [--durability off|commit|batched] [--exhaustive] [--no-decomp]
+  olp models FILE [COMPONENT] [--least|--stable|--af|--skeptical|--credulous|--all-semantics] [--exhaustive]
+  olp query  FILE COMPONENT PATTERN [--explain] [--exhaustive]
+  olp repl   [FILE] [--db DIR] [--durability off|commit|batched] [--exhaustive]
              live session: use <component> | models | stable | explain <literal> |
              stats (evaluation plan + statistics) | assert <rule> |
              retract <rule> (incremental re-grounding, timed) |
@@ -86,16 +79,10 @@ persistence (see docs/DURABILITY.md):
   --durability MODE  off (no fsync) | commit (fsync per op, default) |
                      batched (fsync every 64 ops)
 evaluation:
-  --no-decomp        disable component-wise evaluation (SCC condensation
-                     and product-form enumeration); use the monolithic engines
-  --threads N        worker threads for grounding, the morsel-driven flat
-                     least model, and stable enumeration (default: the
-                     OLP_THREADS env var, else all cores; 1 = sequential;
-                     results are identical at every value)
-  --morsel N         target morsel weight (rules + body literals + attack
-                     edges) for the work-stealing fixpoint scheduler
-                     (default: the OLP_MORSEL env var, else 2048; purely
-                     a scheduling knob — results are identical)
+  --threads N        worker threads for grounding and the morsel-driven
+                     flat least model (default: the OLP_THREADS env var,
+                     else all cores; 1 = sequential; results are
+                     identical at every value)
 resource limits (any command):
   --timeout SECS     wall-clock limit (fractions allowed); exits 124 when hit
   --max-steps N      cap on engine work units; exits 124 when hit
@@ -104,19 +91,14 @@ resource limits (any command):
     ExitCode::from(2)
 }
 
-/// Resource limits and engine choices parsed from the command line.
+/// Resource limits and settings parsed from the command line.
 #[derive(Debug, Clone)]
 struct Limits {
     timeout: Option<Duration>,
     max_steps: Option<u64>,
     max_models: Option<usize>,
-    /// Component-wise evaluation (on unless `--no-decomp`).
-    decomp: bool,
     /// Worker threads (`--threads N`, default [`default_threads`]).
     threads: usize,
-    /// Target morsel weight for the parallel fixpoint (`--morsel N`,
-    /// default [`default_morsel_weight`]).
-    morsel: u64,
     /// `check --deny warnings`: warnings become fatal (exit 1).
     deny_warnings: bool,
     /// `check --format json`: emit diagnostics as a JSON array.
@@ -139,9 +121,7 @@ impl Default for Limits {
             timeout: None,
             max_steps: None,
             max_models: None,
-            decomp: true,
             threads: default_threads(),
-            morsel: default_morsel_weight(),
             deny_warnings: false,
             json: false,
             db: None,
@@ -165,36 +145,9 @@ impl Limits {
                 }
                 self.timeout = Some(Duration::from_secs_f64(secs));
             }
-            "max-steps" => {
-                self.max_steps =
-                    Some(val.parse().map_err(|_| {
-                        format!("--max-steps: `{val}` is not a non-negative integer")
-                    })?);
-            }
-            "max-models" => {
-                self.max_models =
-                    Some(val.parse().map_err(|_| {
-                        format!("--max-models: `{val}` is not a non-negative integer")
-                    })?);
-            }
-            "threads" => {
-                let n: usize = val
-                    .parse()
-                    .map_err(|_| format!("--threads: `{val}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err(format!("--threads: `{val}` must be at least 1"));
-                }
-                self.threads = n;
-            }
-            "morsel" => {
-                let n: u64 = val
-                    .parse()
-                    .map_err(|_| format!("--morsel: `{val}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err(format!("--morsel: `{val}` must be at least 1"));
-                }
-                self.morsel = n;
-            }
+            "max-steps" => self.max_steps = Some(count(name, val)?),
+            "max-models" => self.max_models = Some(count(name, val)?),
+            "threads" => self.threads = positive(name, val)?,
             "deny" => match val {
                 "warnings" => self.deny_warnings = true,
                 _ => return Err(format!("--deny: `{val}` unsupported (only `warnings`)")),
@@ -206,24 +159,8 @@ impl Limits {
             },
             "db" => self.db = Some(val.to_string()),
             "listen" => self.listen = val.to_string(),
-            "max-conns" => {
-                let n: usize = val
-                    .parse()
-                    .map_err(|_| format!("--max-conns: `{val}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err(format!("--max-conns: `{val}` must be at least 1"));
-                }
-                self.max_conns = n;
-            }
-            "max-queries" => {
-                let n: usize = val
-                    .parse()
-                    .map_err(|_| format!("--max-queries: `{val}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err(format!("--max-queries: `{val}` must be at least 1"));
-                }
-                self.max_queries = n;
-            }
+            "max-conns" => self.max_conns = positive(name, val)?,
+            "max-queries" => self.max_queries = positive(name, val)?,
             "durability" => {
                 self.durability = match val {
                     "off" => Durability::Off,
@@ -236,7 +173,7 @@ impl Limits {
                     }
                 }
             }
-            _ => return Err(format!("unknown limit flag --{name}")),
+            _ => unreachable!("only flags in VALUE_FLAGS take values"),
         }
         Ok(())
     }
@@ -245,51 +182,20 @@ impl Limits {
     fn budget(&self) -> Budget {
         Budget::limited(self.max_steps, self.timeout.map(|t| Instant::now() + t))
     }
+}
 
-    /// Least model under these limits: the flat morsel engine (which
-    /// runs its sequential path at `--threads 1`), or the monolithic
-    /// interpretive engine under `--no-decomp`.
-    fn least(&self, view: &View, budget: &Budget) -> Eval<Interpretation> {
-        if !self.decomp {
-            least_model_monolithic_budgeted(view, budget)
-        } else {
-            let cfg = MorselCfg {
-                threads: self.threads,
-                target_weight: self.morsel,
-                ..MorselCfg::default()
-            };
-            least_model_morsel(&flatten(view), &cfg, budget)
-        }
-    }
+/// Parses a non-negative integer flag value.
+fn count<T: std::str::FromStr>(name: &str, val: &str) -> Result<T, String> {
+    val.parse()
+        .map_err(|_| format!("--{name}: `{val}` is not a non-negative integer"))
+}
 
-    /// Stable models under these limits (parallel, decomposed, or
-    /// monolithic).
-    fn stable(&self, view: &View, n_atoms: usize, budget: &Budget) -> Eval<Vec<Interpretation>> {
-        if !self.decomp {
-            stable_models_monolithic_budgeted(view, n_atoms, budget, self.max_models)
-        } else if self.threads > 1 {
-            stable_models_parallel_budgeted(view, n_atoms, self.threads, budget, self.max_models)
-        } else {
-            stable_models_budgeted(view, n_atoms, budget, self.max_models)
-        }
-    }
-
-    /// Assumption-free models under these limits (parallel, decomposed,
-    /// or monolithic propagating search).
-    fn af(&self, view: &View, n_atoms: usize, budget: &Budget) -> Eval<Vec<Interpretation>> {
-        if !self.decomp {
-            enumerate_assumption_free_propagating_budgeted(view, n_atoms, budget, self.max_models)
-        } else if self.threads > 1 {
-            enumerate_assumption_free_parallel_budgeted(
-                view,
-                n_atoms,
-                self.threads,
-                budget,
-                self.max_models,
-            )
-        } else {
-            enumerate_assumption_free_decomposed_budgeted(view, n_atoms, budget, self.max_models)
-        }
+/// Parses a positive integer flag value.
+fn positive(name: &str, val: &str) -> Result<usize, String> {
+    match val.parse() {
+        Ok(0) => Err(format!("--{name}: `{val}` must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("--{name}: `{val}` is not a positive integer")),
     }
 }
 
@@ -361,9 +267,22 @@ fn find_component(l: &Loaded, name: &str) -> Result<CompId, String> {
         })
 }
 
-/// The `PARTIAL` banner printed when a limit interrupts a computation.
-fn partial_banner(what: &str, reason: InterruptReason) -> String {
-    format!("  PARTIAL {what} ({reason}): showing results computed so far")
+/// Prints the `PARTIAL` banner when a limit interrupted `ev`; returns
+/// whether it did.
+fn banner<T>(ev: &Eval<T>, what: &str) -> bool {
+    if let Some(reason) = ev.reason() {
+        println!("  PARTIAL {what} ({reason}): showing results computed so far");
+    }
+    ev.is_partial()
+}
+
+/// The verdict suffix for a result [`banner`] flagged as partial.
+fn partial_suffix(partial: bool) -> &'static str {
+    if partial {
+        " (partial)"
+    } else {
+        ""
+    }
 }
 
 fn cmd_check(path: &str, exhaustive: bool, explain: bool, limits: &Limits) -> CmdResult {
@@ -500,14 +419,15 @@ fn cmd_check(path: &str, exhaustive: bool, explain: bool, limits: &Limits) -> Cm
             }
         }
         let fv = FlatView::new(&l.ground, id);
-        let morsels = fv.morsels(limits.morsel);
+        let weight = MorselCfg::default().target_weight;
+        let morsels = fv.morsels(weight);
         println!(
             "    plan: {} strata over {} levels; {} morsel{} @ weight {}, {} thread{}",
             fv.n_strata(),
             fv.n_levels(),
             morsels.len(),
             if morsels.len() == 1 { "" } else { "s" },
-            limits.morsel,
+            weight,
             limits.threads,
             if limits.threads == 1 { "" } else { "s" },
         );
@@ -532,41 +452,37 @@ fn cmd_models(
         Some(name) => vec![find_component(&l, name)?],
         None => (0..l.prog.components.len() as u32).map(CompId).collect(),
     };
+    let mut kb = Kb::from_ground_parts(l.world, l.prog, l.ground);
+    kb.set_threads(limits.threads);
+    let n_atoms = kb.ground_program().n_atoms;
     let mut partial = false;
+    let mut read = |kb: &mut Kb, name: &str, ask: Ask, what: &str| -> Result<Answer, CliFail> {
+        let ev = kb
+            .read(name, ask, &budget, limits.max_models)
+            .map_err(|e| CliFail::Msg(e.to_string()))?;
+        partial |= banner(&ev, what);
+        Ok(ev.into_value())
+    };
     for c in comps {
-        let name = l.world.syms.name(l.prog.components[c.index()].name);
+        let name = kb.objects()[c.index()].to_string();
         println!("component `{name}`:");
-        let view = View::new(&l.ground, c);
-        let show_least = matches!(mode, "least" | "all");
-        let show_stable = matches!(mode, "stable" | "all");
-        let show_af = matches!(mode, "af" | "all");
-        let show_sk = matches!(mode, "skeptical" | "all");
-        let show_cred = matches!(mode, "credulous" | "all");
-        if show_least {
-            let ev = limits.least(&view, &budget);
-            if let Some(reason) = ev.reason() {
-                println!("{}", partial_banner("least model", reason));
-                partial = true;
-            }
-            println!("  least model: {}", ev.value().render(&l.world));
+        let show = |m: &str| mode == m || mode == "all";
+        if show("least") {
+            let m = read(&mut kb, &name, Ask::Least, "least model")?.into_model();
+            println!("  least model: {}", kb.render(&m));
         }
-        if show_af {
-            let ev = limits.af(&view, l.ground.n_atoms, &budget);
-            if let Some(reason) = ev.reason() {
-                println!("{}", partial_banner("enumeration", reason));
-                partial = true;
-            }
-            for m in ev.value() {
-                println!("  assumption-free: {}", m.render(&l.world));
+        if show("af") {
+            let ms = read(&mut kb, &name, Ask::AssumptionFree, "enumeration")?.into_models();
+            for m in &ms {
+                println!("  assumption-free: {}", kb.render(m));
             }
         }
-        if show_stable {
+        if show("stable") {
             // W11: the profile proves exactly one stable model here, so
             // `--stable` pays for enumeration machinery that `--least`
             // answers outright. Advisory only — printed to stderr so
             // scripted consumers of the model lines are unaffected.
-            if let Ok(order) = l.prog.order() {
-                let p = ordered_logic::analyze::component_profile(&l.prog, &order, c);
+            if let Some(p) = kb.component_profile(&name).ok().flatten() {
                 if p.single_model {
                     let d = ordered_logic::analyze::Diagnostic::new(
                         ordered_logic::analyze::Code::SingleModelStable,
@@ -580,45 +496,29 @@ fn cmd_models(
                     eprintln!("{}", d.render(path));
                 }
             }
-            let ev = limits.stable(&view, l.ground.n_atoms, &budget);
-            if let Some(reason) = ev.reason() {
-                println!("{}", partial_banner("enumeration", reason));
-                partial = true;
-            }
-            for m in ev.value() {
-                let total = if m.is_total(l.ground.n_atoms) {
-                    " (total)"
-                } else {
-                    ""
-                };
-                println!("  stable: {}{total}", m.render(&l.world));
+            let ms = read(&mut kb, &name, Ask::Stable, "enumeration")?.into_models();
+            for m in &ms {
+                let total = if m.is_total(n_atoms) { " (total)" } else { "" };
+                println!("  stable: {}{total}", kb.render(m));
             }
         }
-        if show_sk {
-            let ev = skeptical_consequences_budgeted(&view, l.ground.n_atoms, &budget);
-            if let Some(reason) = ev.reason() {
-                println!("{}", partial_banner("skeptical set", reason));
-                partial = true;
-            }
-            println!("  skeptical: {}", ev.value().render(&l.world));
+        if show("skeptical") {
+            let m = read(&mut kb, &name, Ask::Skeptical, "skeptical set")?.into_model();
+            println!("  skeptical: {}", kb.render(&m));
         }
-        if show_cred {
-            let ev = credulous_consequences_budgeted(&view, l.ground.n_atoms, &budget);
-            if let Some(reason) = ev.reason() {
-                println!("{}", partial_banner("credulous set", reason));
-                partial = true;
-            }
-            let lits: Vec<String> = ev
-                .value()
-                .iter()
-                .map(|&lit| l.world.glit_str(lit))
-                .collect();
+        if show("credulous") {
+            let ls = read(&mut kb, &name, Ask::Credulous, "credulous set")?.into_literals();
+            let lits: Vec<String> = ls.iter().map(|&lit| kb.world().glit_str(lit)).collect();
             println!("  credulous: {{{}}}", lits.join(", "));
         }
     }
     Ok(partial)
 }
 
+/// `olp query`: the least model through the read front door, then a
+/// verdict (ground pattern, with `--explain` a proof or refutation) or
+/// every binding (pattern with variables). A model computation cut by
+/// a limit prints the verdict with a `(partial)` suffix and exits 124.
 fn cmd_query(
     path: &str,
     component: &str,
@@ -630,7 +530,64 @@ fn cmd_query(
     let budget = limits.budget();
     let mut l = load(path, exhaustive, &budget, limits.threads)?;
     let c = find_component(&l, component)?;
-    cmd_query_loaded(&mut l, c, pattern, explain, &budget, limits).map_err(CliFail::Msg)
+    // Interning the pattern never changes an answer, so it happens
+    // before the program is handed to the KB; a parse error is
+    // reported after the model, as the answer would have been.
+    let lit = ordered_logic::parser::parse_literal(&mut l.world, pattern);
+    let ground = match &lit {
+        Ok(lit) if lit.is_ground() => Some(parse_ground_literal(&mut l.world, pattern)),
+        _ => None,
+    };
+    let mut kb = Kb::from_ground_parts(l.world, l.prog, l.ground);
+    kb.set_threads(limits.threads);
+    let ev = kb
+        .read(component, Ask::Least, &budget, None)
+        .map_err(|e| CliFail::Msg(e.to_string()))?;
+    let suffix = partial_suffix(banner(&ev, "least model"));
+    let m = ev.into_value().into_model();
+    let lit = lit.map_err(|e| CliFail::Msg(e.to_string()))?;
+    let world = kb.world();
+    if let Some(q) = ground {
+        let q = q.map_err(|e| CliFail::Msg(e.to_string()))?;
+        let verdict = if m.holds(q) {
+            "true"
+        } else if m.holds(q.complement()) {
+            "false"
+        } else {
+            "undefined"
+        };
+        println!("{pattern} in `{component}`: {verdict}{suffix}");
+        if explain {
+            let view = View::new(kb.ground_program(), c);
+            let why = explain_in(&view, &m, q);
+            print!("{}", render_why(world, &view, &why));
+        }
+    } else {
+        let mut vars = Vec::new();
+        lit.collect_vars(&mut vars);
+        let mut hits = 0usize;
+        for &atom in world.atoms.of_pred(lit.pred) {
+            if !m.holds(ordered_logic::core::GLit::new(lit.sign, atom)) {
+                continue;
+            }
+            let mut b = ordered_logic::core::term::Bindings::default();
+            if lit
+                .args
+                .iter()
+                .zip(world.atoms.get(atom).args.iter())
+                .all(|(p, &g)| p.match_ground(g, &world.terms, &mut b))
+            {
+                let binding: Vec<String> = vars
+                    .iter()
+                    .map(|v| format!("{} = {}", world.syms.name(*v), world.term_str(b[v])))
+                    .collect();
+                println!("{}", binding.join(", "));
+                hits += 1;
+            }
+        }
+        println!("({hits} answers){suffix}");
+    }
+    Ok(!suffix.is_empty())
 }
 
 /// [`QueryOptions`] matching the command-line limits (fresh deadline
@@ -646,10 +603,7 @@ fn repl_opts(limits: &Limits) -> QueryOptions {
     if let Some(m) = limits.max_models {
         o = o.max_models(m);
     }
-    if !limits.decomp {
-        o = o.no_decomp();
-    }
-    o.threads(limits.threads).morsel_weight(limits.morsel)
+    o.threads(limits.threads)
 }
 
 /// The REPL's knowledge base: plain in-memory, or backed by an
@@ -728,8 +682,7 @@ fn repl_mutate(session: &mut SessionKb, object: &str, rule: &str, assert: bool, 
     let elapsed = start.elapsed();
     match res {
         Ok(ev) => {
-            if let Some(reason) = ev.reason() {
-                println!("{}", partial_banner("mutation", reason));
+            if banner(&ev, "mutation") {
                 println!("  mutation not applied; knowledge base unchanged");
                 return;
             }
@@ -784,8 +737,15 @@ fn load_repl_kb(path: &str, exhaustive: bool, limits: &Limits) -> Result<Kb, Cli
         .map_err(|e| CliFail::Msg(e.to_string()))
 }
 
-fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult {
-    use std::io::{BufRead, Write};
+/// Opens the knowledge base a `repl` or `serve` command (`cmd`) works
+/// on: the database at `--db DIR` (recovered, or created from FILE when
+/// DIR does not exist yet), else the program FILE, at `--threads`.
+fn open_session(
+    cmd: &str,
+    path: Option<&str>,
+    exhaustive: bool,
+    limits: &Limits,
+) -> Result<SessionKb, CliFail> {
     let mut session = match (&limits.db, path) {
         (Some(db), _) if Db::exists(std::path::Path::new(db)) => {
             let (d, report) = open_db(db, limits)?;
@@ -808,10 +768,15 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
             )))
         }
         (None, Some(p)) => SessionKb::Plain(load_repl_kb(p, exhaustive, limits)?),
-        (None, None) => return Err(CliFail::Msg("repl: FILE or --db DIR required".to_string())),
+        (None, None) => return Err(CliFail::Msg(format!("{cmd}: FILE or --db DIR required"))),
     };
     session.kb().set_threads(limits.threads);
-    session.kb().set_morsel_weight(limits.morsel);
+    Ok(session)
+}
+
+fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult {
+    use std::io::{BufRead, Write};
+    let mut session = open_session("repl", path, exhaustive, limits)?;
     let origin = path
         .map(str::to_string)
         .or_else(|| limits.db.clone())
@@ -858,9 +823,7 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
                 let kb = session.kb();
                 match kb.model_with(&current, &repl_opts(limits)) {
                     Ok(ev) => {
-                        if let Some(reason) = ev.reason() {
-                            println!("{}", partial_banner("least model", reason));
-                        }
+                        banner(&ev, "least model");
                         println!("least model: {}", kb.render(ev.value()));
                     }
                     Err(e) => println!("error: {e}"),
@@ -870,9 +833,7 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
                 let kb = session.kb();
                 match kb.stable_with(&current, &repl_opts(limits)) {
                     Ok(ev) => {
-                        if let Some(reason) = ev.reason() {
-                            println!("{}", partial_banner("enumeration", reason));
-                        }
+                        banner(&ev, "enumeration");
                         for m in ev.value() {
                             println!("stable: {}", kb.render(m));
                         }
@@ -936,7 +897,6 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
                     Ok((mut d, report)) => {
                         println!("{}", recovery_line(rest, &d, &report));
                         d.kb_mut().set_threads(limits.threads);
-                        d.kb_mut().set_morsel_weight(limits.morsel);
                         current = match d.kb_mut().objects().first() {
                             Some(first) => first.to_string(),
                             None => {
@@ -955,25 +915,13 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
                 let kb = session.kb();
                 match kb.truth_with(&current, line, &repl_opts(limits)) {
                     Ok(ev) => {
-                        let suffix = match ev.reason() {
-                            Some(reason) => {
-                                println!("{}", partial_banner("least model", reason));
-                                " (partial)"
-                            }
-                            None => "",
-                        };
+                        let suffix = partial_suffix(banner(&ev, "least model"));
                         println!("{line} in `{current}`: {}{suffix}", ev.value());
                     }
                     Err(KbError::NonGroundQuery(_)) => {
                         match kb.query_with(&current, line, &repl_opts(limits)) {
                             Ok(ev) => {
-                                let suffix = match ev.reason() {
-                                    Some(reason) => {
-                                        println!("{}", partial_banner("least model", reason));
-                                        " (partial)"
-                                    }
-                                    None => "",
-                                };
+                                let suffix = partial_suffix(banner(&ev, "least model"));
                                 let bindings = ev.value();
                                 for b in bindings {
                                     println!("{b}");
@@ -997,36 +945,9 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
 fn cmd_serve(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult {
     use ordered_logic::server::{ServeKb, Server, ServerConfig};
     use std::io::Write;
-    let kb = match (&limits.db, path) {
-        (Some(db), _) if Db::exists(std::path::Path::new(db)) => {
-            let (mut d, report) = open_db(db, limits)?;
-            println!("{}", recovery_line(db, &d, &report));
-            if let Some(p) = path {
-                println!("note: database {db} already exists; {p} not re-read");
-            }
-            d.kb_mut().set_threads(limits.threads);
-            d.kb_mut().set_morsel_weight(limits.morsel);
-            ServeKb::Durable(Box::new(d))
-        }
-        (Some(db), Some(p)) => {
-            let kb = load_repl_kb(p, exhaustive, limits)?;
-            let d = DurableKb::create(std::path::Path::new(db), kb, limits.durability)
-                .map_err(|e| CliFail::Msg(format!("cannot create database {db}: {e}")))?;
-            println!("created database {db} from {p}");
-            ServeKb::Durable(Box::new(d))
-        }
-        (Some(db), None) => {
-            return Err(CliFail::Msg(format!(
-                "cannot open database {db}: no database there and no FILE to create one from"
-            )))
-        }
-        (None, Some(p)) => {
-            let mut kb = load_repl_kb(p, exhaustive, limits)?;
-            kb.set_threads(limits.threads);
-            kb.set_morsel_weight(limits.morsel);
-            ServeKb::Plain(Box::new(kb))
-        }
-        (None, None) => return Err(CliFail::Msg("serve: FILE or --db DIR required".to_string())),
+    let kb = match open_session("serve", path, exhaustive, limits)? {
+        SessionKb::Plain(kb) => ServeKb::Plain(Box::new(kb)),
+        SessionKb::Durable(d) => ServeKb::Durable(Box::new(d)),
     };
     let cfg = ServerConfig {
         listen: limits.listen.clone(),
@@ -1123,78 +1044,35 @@ fn cmd_crash_worker(dir: &str, seed: u64, n_ops: usize) -> CmdResult {
     Ok(false)
 }
 
-/// Query against an already-loaded program (shared by `query` and the
-/// REPL). `Ok(true)` means the model computation was interrupted: the
-/// verdict is printed with a `(partial)` suffix and the command exits
-/// 124.
-fn cmd_query_loaded(
-    l: &mut Loaded,
-    c: CompId,
-    pattern: &str,
-    explain: bool,
-    budget: &Budget,
-    limits: &Limits,
-) -> Result<bool, String> {
-    let view = View::new(&l.ground, c);
-    let ev = limits.least(&view, budget);
-    let suffix = match ev.reason() {
-        Some(reason) => {
-            println!("{}", partial_banner("least model", reason));
-            " (partial)"
-        }
-        None => "",
-    };
-    let m = ev.value();
-    let lit =
-        ordered_logic::parser::parse_literal(&mut l.world, pattern).map_err(|e| e.to_string())?;
-    if lit.is_ground() {
-        let q = parse_ground_literal(&mut l.world, pattern).map_err(|e| e.to_string())?;
-        let verdict = if m.holds(q) {
-            "true"
-        } else if m.holds(q.complement()) {
-            "false"
-        } else {
-            "undefined"
-        };
-        let comp_name = l
-            .world
-            .syms
-            .name(l.prog.components[c.index()].name)
-            .to_string();
-        println!("{pattern} in `{comp_name}`: {verdict}{suffix}");
-        if explain {
-            let why = explain_in(&view, m, q);
-            print!("{}", render_why(&l.world, &view, &why));
-        }
-    } else {
-        let mut vars = Vec::new();
-        lit.collect_vars(&mut vars);
-        let mut hits = 0usize;
-        let candidates: Vec<_> = l.world.atoms.of_pred(lit.pred).to_vec();
-        for atom in candidates {
-            if !m.holds(ordered_logic::core::GLit::new(lit.sign, atom)) {
-                continue;
-            }
-            let args = l.world.atoms.get(atom).args.clone();
-            let mut b = ordered_logic::core::term::Bindings::default();
-            if lit
-                .args
-                .iter()
-                .zip(args.iter())
-                .all(|(p, &g)| p.match_ground(g, &l.world.terms, &mut b))
-            {
-                let binding: Vec<String> = vars
-                    .iter()
-                    .map(|v| format!("{} = {}", l.world.syms.name(*v), l.world.term_str(b[v])))
-                    .collect();
-                println!("{}", binding.join(", "));
-                hits += 1;
-            }
-        }
-        println!("({hits} answers){suffix}");
-    }
-    Ok(!suffix.is_empty())
-}
+/// The flags that take a value (`--flag V` or `--flag=V`).
+const VALUE_FLAGS: &[&str] = &[
+    "timeout",
+    "max-steps",
+    "max-models",
+    "threads",
+    "deny",
+    "format",
+    "db",
+    "durability",
+    "listen",
+    "max-conns",
+    "max-queries",
+];
+
+/// The flags that take no value. Any flag in neither list is a usage
+/// error.
+const SWITCHES: &[&str] = &[
+    "help",
+    "exhaustive",
+    "explain",
+    "interactive",
+    "least",
+    "stable",
+    "af",
+    "skeptical",
+    "credulous",
+    "all-semantics",
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1209,21 +1087,7 @@ fn main() -> ExitCode {
                 Some((n, v)) => (n, Some(v.to_string())),
                 None => (body, None),
             };
-            if matches!(
-                name,
-                "timeout"
-                    | "max-steps"
-                    | "max-models"
-                    | "threads"
-                    | "morsel"
-                    | "deny"
-                    | "format"
-                    | "db"
-                    | "durability"
-                    | "listen"
-                    | "max-conns"
-                    | "max-queries"
-            ) {
+            if VALUE_FLAGS.contains(&name) {
                 let val = match inline_val {
                     Some(v) => v,
                     None => {
@@ -1241,6 +1105,12 @@ fn main() -> ExitCode {
                     eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }
+            } else if !SWITCHES.contains(&name) {
+                eprintln!("error: unknown flag `--{name}`");
+                return usage();
+            } else if inline_val.is_some() {
+                eprintln!("error: --{name} takes no value");
+                return ExitCode::from(2);
             } else {
                 flags.push(format!("--{name}"));
             }
@@ -1252,8 +1122,10 @@ fn main() -> ExitCode {
     let flags: Vec<&str> = flags.iter().map(String::as_str).collect();
     let pos: Vec<&str> = pos.iter().map(String::as_str).collect();
     let exhaustive = flags.contains(&"--exhaustive");
-    limits.decomp = !flags.contains(&"--no-decomp");
 
+    if flags.contains(&"--help") {
+        return usage();
+    }
     let result = match pos.as_slice() {
         ["check", file] => cmd_check(file, exhaustive, flags.contains(&"--explain"), &limits),
         ["models", file, rest @ ..] => {

@@ -73,8 +73,8 @@ pub mod prelude {
     };
     pub use olp_parser::{parse_ground_literal, parse_program, parse_rule};
     pub use olp_semantics::{
-        enumerate_assumption_free, explain, is_assumption_free, is_model, least_model, prove,
-        render_why, skeptical_consequences, stable_models, View,
+        explain, is_assumption_free, is_model, least_model, prove, render_why,
+        skeptical_consequences, stable_models, View,
     };
     pub use olp_transform::{extended_version, ordered_version, three_level_version};
 }

@@ -6,9 +6,10 @@
 //! * no panic anywhere in the engine;
 //! * a partial fixpoint is a **subset** of the unbudgeted least model
 //!   (sound under-approximation);
-//! * partial model enumerations (assumption-free, sequential and
-//!   parallel; stable) are **subsets of the unbudgeted assumption-free
-//!   enumeration** — every member is a genuine model, only coverage is
+//! * partial model enumerations (assumption-free — reference,
+//!   propagating and decomposed — and stable) are **subsets of the
+//!   unbudgeted assumption-free enumeration** — every member is a
+//!   genuine model, only coverage is
 //!   lost (for interrupted stable lists maximality is relative to the
 //!   explored portion, so the reference is the AF enumeration, not the
 //!   stable list);
@@ -21,17 +22,24 @@
 use olp_workload::{random_ordered, RandomCfg};
 use ordered_logic::core::{Budget, Eval, InterruptReason, World};
 use ordered_logic::ground::{ground_exhaustive, GroundConfig, GroundError, GroundProgram};
-use ordered_logic::kb::{GroundStrategy, KbBuilder, QueryOptions};
+use ordered_logic::kb::{GroundStrategy, Kb, KbBuilder, QueryOptions};
+use ordered_logic::semantics::reference::{
+    enumerate_assumption_free_budgeted, least_model_naive_budgeted,
+};
 use ordered_logic::semantics::{
-    credulous_consequences_budgeted, enumerate_assumption_free_budgeted,
-    enumerate_assumption_free_parallel_budgeted, enumerate_assumption_free_propagating,
+    enumerate_assumption_free_decomposed_budgeted, enumerate_assumption_free_propagating,
     enumerate_assumption_free_propagating_budgeted, explain_budgeted, least_model,
-    least_model_budgeted, least_model_naive_budgeted, prove_budgeted,
-    skeptical_consequences_budgeted, stable_models_budgeted, View, Why,
+    least_model_budgeted, prove_budgeted, stable_models_decomposed, View, Why,
 };
 use proptest::prelude::*;
 
 fn workload(seed: u64) -> (World, GroundProgram) {
+    let kb = workload_kb(seed);
+    (kb.world().clone(), kb.ground_program().clone())
+}
+
+/// The seeded workload as a knowledge base (objects `c0`…`c2`).
+fn workload_kb(seed: u64) -> Kb {
     let mut w = World::new();
     let cfg = RandomCfg {
         n_atoms: 6,
@@ -45,7 +53,7 @@ fn workload(seed: u64) -> (World, GroundProgram) {
     let prog = random_ordered(&mut w, &cfg, seed);
     let g = ground_exhaustive(&mut w, &prog, &GroundConfig::default())
         .expect("propositional programs always ground");
-    (w, g)
+    Kb::from_ground_parts(w, prog, g)
 }
 
 /// Canonical form for set-membership checks across enumerations.
@@ -95,10 +103,10 @@ proptest! {
                     &view, g.n_atoms, &Budget::with_steps(steps), None),
                 enumerate_assumption_free_propagating_budgeted(
                     &view, g.n_atoms, &Budget::with_steps(steps), None),
-                enumerate_assumption_free_parallel_budgeted(
-                    &view, g.n_atoms, 2, &Budget::with_steps(steps), None),
-                stable_models_budgeted(
+                enumerate_assumption_free_decomposed_budgeted(
                     &view, g.n_atoms, &Budget::with_steps(steps), None),
+                stable_models_decomposed(
+                    &view, g.n_atoms, &Budget::with_steps(steps), None, None),
             ];
             for eval in budgeted {
                 for m in eval.value() {
@@ -174,21 +182,22 @@ proptest! {
 
     #[test]
     fn consequence_partials_do_not_panic(seed in 0u64..25, steps in 0u64..2000) {
-        let (_, g) = workload(seed);
+        let mut kb = workload_kb(seed);
+        let g = kb.ground_program().clone();
+        let opts = QueryOptions::new().max_steps(steps).threads(1);
         for ci in 0..g.order.len() {
             let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+            let object = format!("c{ci}");
             // Credulous partials under-approximate: every literal is
             // witnessed by a genuine AF model.
             let full_af = enumerate_assumption_free_propagating(&view, g.n_atoms);
-            let cred = credulous_consequences_budgeted(
-                &view, g.n_atoms, &Budget::with_steps(steps));
+            let cred = kb.credulous_with(&object, &opts).expect("known object");
             for &l in cred.value() {
                 prop_assert!(full_af.iter().any(|m| m.holds(l)));
             }
             // Skeptical partials are documented over-approximations;
             // here we only require no panic and a consistent result.
-            let _ = skeptical_consequences_budgeted(
-                &view, g.n_atoms, &Budget::with_steps(steps));
+            let _ = kb.skeptical_with(&object, &opts).expect("known object");
         }
     }
 
@@ -268,18 +277,19 @@ fn cancellation_stops_parallel_grounding_promptly() {
 }
 
 #[test]
-fn cancellation_stops_the_wavefront_fixpoint() {
-    // Same contract for the stratum-wavefront least model: every worker
-    // shares the budget, so a cancellation trips all in-flight strata
+fn cancellation_stops_the_morsel_fixpoint() {
+    // Same contract for the work-stealing least model: every worker
+    // shares the budget, so a cancellation trips all in-flight morsels
     // and the merged partial under-approximates the least model.
-    use ordered_logic::semantics::least_model_parallel_budgeted;
+    use ordered_logic::semantics::{flatten, least_model_morsel_forced};
     let (_, g) = workload(11);
     for ci in 0..g.order.len() {
         let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
         let full = least_model(&view);
         let budget = Budget::cancellable();
         budget.cancel();
-        match least_model_parallel_budgeted(&view, 4, &budget) {
+        let fv = flatten(&view);
+        match least_model_morsel_forced(&fv, &fv.morsels(1), 4, &budget) {
             // An empty level schedule can finish before the first probe.
             Eval::Complete(m) => assert_eq!(m, full),
             Eval::Interrupted(i) => {
@@ -291,16 +301,20 @@ fn cancellation_stops_the_wavefront_fixpoint() {
 }
 
 #[test]
-fn cancellation_stops_the_parallel_enumerator() {
+fn cancellation_stops_the_enumerator() {
     let (_, g) = workload(3);
     let view = View::new(&g, ordered_logic::core::CompId(g.order.len() as u32 - 1));
     let budget = Budget::cancellable();
     budget.cancel();
-    let eval = enumerate_assumption_free_parallel_budgeted(&view, g.n_atoms, 2, &budget, None);
-    match eval {
-        // Tiny searches may finish inside the first probe interval.
-        Eval::Complete(_) => {}
-        Eval::Interrupted(i) => assert_eq!(i.reason, InterruptReason::Cancelled),
+    for eval in [
+        enumerate_assumption_free_decomposed_budgeted(&view, g.n_atoms, &budget, None),
+        stable_models_decomposed(&view, g.n_atoms, &budget, None, None),
+    ] {
+        match eval {
+            // Tiny searches may finish inside the first probe interval.
+            Eval::Complete(_) => {}
+            Eval::Interrupted(i) => assert_eq!(i.reason, InterruptReason::Cancelled),
+        }
     }
 }
 
@@ -393,7 +407,8 @@ fn unlimited_budget_is_always_complete() {
             let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
             assert!(least_model_budgeted(&view, &Budget::unlimited()).is_complete());
             assert!(
-                stable_models_budgeted(&view, g.n_atoms, &Budget::unlimited(), None).is_complete()
+                stable_models_decomposed(&view, g.n_atoms, &Budget::unlimited(), None, None)
+                    .is_complete()
             );
         }
     }

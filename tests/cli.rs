@@ -135,6 +135,33 @@ fn bad_usage_prints_usage() {
 }
 
 #[test]
+fn removed_no_decomp_flag_is_a_usage_error() {
+    let (out, err, code) = olp_code(&["models", &sample("p5.olp"), "--stable", "--no-decomp"]);
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(err.contains("--no-decomp"), "the flag must be named: {err}");
+    assert!(out.is_empty(), "nothing is evaluated: {out}");
+}
+
+#[test]
+fn misspelled_flag_is_a_usage_error() {
+    let (out, err, code) = olp_code(&["models", &sample("p5.olp"), "c1", "--stabel"]);
+    assert_eq!(code, 2, "{out}{err}");
+    assert!(err.contains("--stabel"), "the flag must be named: {err}");
+    // Every documented mode flag is accepted, `--least` included.
+    for mode in [
+        "--least",
+        "--stable",
+        "--af",
+        "--skeptical",
+        "--credulous",
+        "--all-semantics",
+    ] {
+        let (out, err, code) = olp_code(&["models", &sample("p5.olp"), "c1", mode]);
+        assert_eq!(code, 0, "{mode}: {out}{err}");
+    }
+}
+
+#[test]
 fn check_warns_on_unsafe_rules() {
     let dir = std::env::temp_dir().join("olp_cli_unsafe.olp");
     std::fs::write(

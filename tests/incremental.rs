@@ -22,7 +22,8 @@ use olp_workload::{random_ordered, RandomCfg};
 use ordered_logic::core::CompId;
 use ordered_logic::ground::FlatView;
 use ordered_logic::prelude::*;
-use ordered_logic::semantics::{enumerate_models, interp_intersection, least_model_flat, View};
+use ordered_logic::semantics::reference::enumerate_models;
+use ordered_logic::semantics::{interp_intersection, least_model_flat, View};
 use proptest::prelude::*;
 
 const N_ATOMS: usize = 6;

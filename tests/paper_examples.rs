@@ -6,7 +6,8 @@
 //! Vermeir, "Extending Logic Programming", SIGMOD 1990.
 
 use ordered_logic::prelude::*;
-use ordered_logic::semantics::{enumerate_assumption_free, enumerate_models, has_total_model};
+use ordered_logic::semantics::has_total_model;
+use ordered_logic::semantics::reference::{enumerate_assumption_free, enumerate_models};
 
 fn setup(src: &str) -> (World, OrderedProgram, GroundProgram) {
     let mut w = World::new();

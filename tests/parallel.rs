@@ -3,8 +3,10 @@
 //! * the batch-synchronous grounder emits a **byte-identical** ground
 //!   program at every thread count (same `rules` vector, same render);
 //! * the flat-arena least model (sequential and forced work-stealing
-//!   morsel scheduling) and the parallel assumption-free / stable
-//!   enumerators agree with the sequential interpretive engines;
+//!   morsel scheduling) agrees with the sequential interpretive engine,
+//!   and every `Kb` / `KbSnapshot` read — least, stable, skeptical,
+//!   credulous, capped or not — answers identically at every thread
+//!   count;
 //! * morsel partitioning tiles the flat rule range exactly, and
 //!   budget cancellation under work stealing leaves a sound prefix;
 //! * the selectivity-driven join planner changes join *order* only —
@@ -17,12 +19,10 @@
 //! acceptance bar, and `PROPTEST_CASES` can scale it.
 
 use olp_workload::{random_datalog, random_ordered, DatalogCfg, RandomCfg};
+use ordered_logic::kb::KbSnapshot;
 use ordered_logic::prelude::*;
-use ordered_logic::semantics::{
-    enumerate_assumption_free, enumerate_assumption_free_parallel, flatten, least_model_flat,
-    least_model_monolithic, least_model_morsel_forced, least_model_parallel,
-    stable_models_parallel,
-};
+use ordered_logic::semantics::reference::least_model_monolithic;
+use ordered_logic::semantics::{flatten, least_model_flat, least_model_morsel_forced};
 use proptest::prelude::*;
 
 fn datalog_cfg() -> DatalogCfg {
@@ -52,11 +52,104 @@ fn ground_at(seed: u64, threads: usize, plan: bool) -> (World, GroundProgram) {
     (w, g)
 }
 
-/// Renders a model set for order-insensitive comparison.
-fn renders(w: &World, ms: &[Interpretation]) -> Vec<String> {
-    let mut v: Vec<String> = ms.iter().map(|m| m.render(w)).collect();
-    v.sort();
-    v
+/// Least, stable, skeptical and credulous answers rendered in answer
+/// order, each with its interruption reason.
+fn render_reads(
+    w: &World,
+    least: Eval<std::sync::Arc<Interpretation>>,
+    stable: Eval<Vec<Interpretation>>,
+    skeptical: Eval<Interpretation>,
+    credulous: Eval<Vec<GLit>>,
+) -> Vec<String> {
+    let models: Vec<String> = stable.value().iter().map(|m| m.render(w)).collect();
+    let lits: Vec<String> = credulous.value().iter().map(|&l| w.glit_str(l)).collect();
+    vec![
+        format!("{:?} {}", least.reason(), least.value().render(w)),
+        format!("{:?} {models:?}", stable.reason()),
+        format!("{:?} {}", skeptical.reason(), skeptical.value().render(w)),
+        format!("{:?} {lits:?}", credulous.reason()),
+    ]
+}
+
+/// Every read of `object` through a `Kb` under `opts`, rendered.
+fn kb_reads(kb: &mut Kb, object: &str, opts: &QueryOptions) -> Vec<String> {
+    let least = kb.model_with(object, opts).unwrap();
+    let stable = kb.stable_with(object, opts).unwrap();
+    let skeptical = kb.skeptical_with(object, opts).unwrap();
+    let credulous = kb.credulous_with(object, opts).unwrap();
+    render_reads(kb.world(), least, stable, skeptical, credulous)
+}
+
+/// [`kb_reads`] through a snapshot.
+fn snapshot_reads(snap: &KbSnapshot, object: &str, opts: &QueryOptions) -> Vec<String> {
+    let least = snap.model_with(object, opts).unwrap();
+    let stable = snap.stable_with(object, opts).unwrap();
+    let skeptical = snap.skeptical_with(object, opts).unwrap();
+    let credulous = snap.credulous_with(object, opts).unwrap();
+    render_reads(snap.world(), least, stable, skeptical, credulous)
+}
+
+/// A fresh KB over `prog` whose unbudgeted reads run at `threads`, with
+/// every profile warm so snapshots take the same fast paths.
+fn kb_at(world: World, prog: OrderedProgram, threads: usize) -> Kb {
+    let cfg = GroundConfig {
+        threads,
+        ..GroundConfig::default()
+    };
+    let mut kb = KbBuilder::from_parts(world, prog)
+        .build_with(GroundStrategy::Smart, &cfg)
+        .expect("bounded workloads ground");
+    kb.set_threads(threads);
+    kb.warm_profiles();
+    kb
+}
+
+/// Ten independent copies of Example 5 (2 stable models each).
+fn ten_p5_groups() -> (World, OrderedProgram) {
+    let mut up = String::new();
+    let mut low = String::new();
+    for i in 0..10 {
+        up.push_str(&format!("a{i}. b{i}. c{i}. "));
+        low.push_str(&format!(
+            "-a{i} :- b{i}, c{i}. -b{i} :- a{i}. -b{i} :- -b{i}. "
+        ));
+    }
+    let mut w = World::new();
+    let p = parse_program(
+        &mut w,
+        &format!("module up {{ {up} }} module low < up {{ {low} }}"),
+    )
+    .expect("parses");
+    (w, p)
+}
+
+/// Regression: capped stable reads at two threads returned partial
+/// interpretations that were not stable models (the prefix-splitting
+/// parallel enumerator capped and filtered the product of the groups'
+/// assumption-free sets). Every answer must be the one-thread answer.
+#[test]
+fn ten_p5_groups_capped_at_two_threads_are_total_stable_models() {
+    let (w, p) = ten_p5_groups();
+    let mut kb = kb_at(w, p, 2);
+    let n_atoms = kb.ground_program().n_atoms;
+    let opts = QueryOptions::new().threads(2).max_models(16);
+    let capped = kb.stable_with("low", &opts).unwrap();
+    assert_eq!(
+        capped.reason(),
+        Some(ordered_logic::core::InterruptReason::ModelCap)
+    );
+    assert_eq!(capped.value().len(), 16);
+    assert!(capped.value().iter().all(|m| m.is_total(n_atoms)));
+    let snap = kb.snapshot();
+    assert_eq!(
+        snapshot_reads(&snap, "low", &opts),
+        kb_reads(&mut kb, "low", &opts)
+    );
+    let all = kb
+        .stable_with("low", &QueryOptions::new().threads(2))
+        .unwrap();
+    assert!(all.is_complete());
+    assert_eq!(all.value().len(), 1024);
 }
 
 proptest! {
@@ -106,8 +199,10 @@ proptest! {
         }
     }
 
-    /// Wavefront least models and parallel AF/stable enumerations agree
-    /// with the sequential engines at 2 and 8 threads, per component.
+    /// `Kb` and `KbSnapshot` reads — least, stable, skeptical and
+    /// credulous, uncapped and with `max_models(3)` — answer at 2 and 8
+    /// threads exactly as at one thread, per component, including the
+    /// order of the stable models.
     #[test]
     fn parallel_engines_agree_with_sequential(seed in 0u64..20_000) {
         let cfg = RandomCfg {
@@ -119,31 +214,37 @@ proptest! {
             n_components: 3,
             edge_prob: 0.5,
         };
-        let mut w = World::new();
-        let p = random_ordered(&mut w, &cfg, seed);
-        let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
-        for ci in 0..p.components.len() {
-            let c = CompId(ci as u32);
-            let view = View::new(&g, c);
-            let least_seq = least_model(&view);
-            let af_seq = renders(&w, &enumerate_assumption_free(&view, g.n_atoms));
-            let st_seq = renders(&w, &stable_models(&view, g.n_atoms));
+        let build = |threads: usize| {
+            let mut w = World::new();
+            let p = random_ordered(&mut w, &cfg, seed);
+            kb_at(w, p, threads)
+        };
+        for cap in [None, Some(3)] {
+            let opts = |threads: usize| {
+                let o = QueryOptions::new().threads(threads);
+                match cap {
+                    Some(cap) => o.max_models(cap),
+                    None => o,
+                }
+            };
+            let mut seq = build(1);
+            let objects: Vec<String> = seq.objects().iter().map(|o| o.to_string()).collect();
             for threads in [2usize, 8] {
-                prop_assert_eq!(
-                    least_model_parallel(&view, threads).render(&w),
-                    least_seq.render(&w),
-                    "wavefront least model differs at {} threads (seed {})", threads, seed
-                );
-                prop_assert_eq!(
-                    renders(&w, &enumerate_assumption_free_parallel(&view, g.n_atoms, threads)),
-                    af_seq.clone(),
-                    "parallel AF set differs at {} threads (seed {})", threads, seed
-                );
-                prop_assert_eq!(
-                    renders(&w, &stable_models_parallel(&view, g.n_atoms, threads)),
-                    st_seq.clone(),
-                    "parallel stable set differs at {} threads (seed {})", threads, seed
-                );
+                let mut par = build(threads);
+                let snap = build(threads).snapshot();
+                for object in &objects {
+                    let want = kb_reads(&mut seq, object, &opts(1));
+                    prop_assert_eq!(
+                        &kb_reads(&mut par, object, &opts(threads)), &want,
+                        "Kb reads of {} differ at {} threads, cap {:?} (seed {})",
+                        object, threads, cap, seed
+                    );
+                    prop_assert_eq!(
+                        &snapshot_reads(&snap, object, &opts(threads)), &want,
+                        "KbSnapshot reads of {} differ at {} threads, cap {:?} (seed {})",
+                        object, threads, cap, seed
+                    );
+                }
             }
         }
     }

@@ -3,14 +3,14 @@
 //! The `ProgramProfile` lets the KB skip machinery the analysis proved
 //! unnecessary: definite (negation-free) components run the flat
 //! fixpoint without blocked/overruled bookkeeping, and provably
-//! single-model components answer `stable`/`skeptical` from the least
-//! model without enumeration. None of that may ever change an answer:
-//! this harness runs random ordered programs through random mutation
-//! streams twice — once profile-guided (the default) and once with the
-//! guidance disabled, i.e. the general engine — and demands
-//! byte-identical renderings of the least model, the stable-model set,
-//! and the skeptical consequences of every component after every step,
-//! at 1 and 4 worker threads.
+//! single-model components answer `stable`/`skeptical`/`credulous`
+//! from the least model without enumeration. None of that may ever
+//! change an answer: this harness runs random ordered programs through
+//! random mutation streams twice — once profile-guided (the default)
+//! and once with the guidance disabled, i.e. the general engine — and
+//! demands byte-identical renderings of the least model, the
+//! stable-model set, and the skeptical and credulous consequences of
+//! every component after every step, at 1 and 4 worker threads.
 //!
 //! A second property pins the cache: after any mutation stream, the
 //! per-epoch cached profile must equal a from-scratch analysis of the
@@ -98,6 +98,14 @@ fn render_skeptical(kb: &mut Kb, obj: &str) -> String {
     kb.render(&m)
 }
 
+fn render_credulous(kb: &mut Kb, obj: &str) -> Vec<String> {
+    let ls = kb
+        .credulous_with(obj, &QueryOptions::new())
+        .expect("known object")
+        .expect_complete("unlimited credulous read");
+    ls.iter().map(|&l| kb.world().glit_str(l)).collect()
+}
+
 fn apply(kb: &mut Kb, obj: &str, is_assert: bool, rule: &str) -> bool {
     if is_assert {
         kb.assert_rule(obj, rule).expect("assert grounds");
@@ -144,6 +152,12 @@ proptest! {
                         render_skeptical(&mut guided, &obj),
                         render_skeptical(&mut general, &obj),
                         "skeptical sets diverged in {} after step {} ({} threads)",
+                        obj, step, threads
+                    );
+                    prop_assert_eq!(
+                        render_credulous(&mut guided, &obj),
+                        render_credulous(&mut general, &obj),
+                        "credulous sets diverged in {} after step {} ({} threads)",
                         obj, step, threads
                     );
                 }

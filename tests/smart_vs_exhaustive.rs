@@ -9,7 +9,7 @@ use olp_workload::{
     GraphShape, RandomCfg,
 };
 use ordered_logic::prelude::*;
-use ordered_logic::semantics::enumerate_assumption_free;
+use ordered_logic::semantics::reference::enumerate_assumption_free;
 use proptest::prelude::*;
 
 /// Renders a model set for order-insensitive comparison.

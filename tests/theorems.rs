@@ -7,9 +7,9 @@
 
 use olp_workload::{random_ordered, RandomCfg};
 use ordered_logic::prelude::*;
+use ordered_logic::semantics::reference::{enumerate_models, least_model_naive, v_step};
 use ordered_logic::semantics::{
-    enumerate_models, extend_to_exhaustive, greatest_assumption_set, has_no_assumption_set,
-    is_exhaustive, least_model_naive, v_step,
+    extend_to_exhaustive, greatest_assumption_set, has_no_assumption_set, is_exhaustive,
 };
 use proptest::prelude::*;
 
@@ -141,7 +141,7 @@ proptest! {
         for ci in 0..p.components.len() {
             let v = View::new(&g, CompId(ci as u32));
             let lm = least_model(&v);
-            let af = ordered_logic::semantics::enumerate_assumption_free(&v, g.n_atoms);
+            let af = ordered_logic::semantics::reference::enumerate_assumption_free(&v, g.n_atoms);
             let stable = stable_models(&v, g.n_atoms);
             prop_assert!(!stable.is_empty(), "an AF model always exists (lfp)");
             for s in &stable {
@@ -185,9 +185,8 @@ proptest! {
     /// enumerator on random ordered programs.
     #[test]
     fn propagating_solver_agrees(seed in 0u64..10_000) {
-        use ordered_logic::semantics::{
-            enumerate_assumption_free, enumerate_assumption_free_propagating,
-        };
+        use ordered_logic::semantics::enumerate_assumption_free_propagating;
+        use ordered_logic::semantics::reference::enumerate_assumption_free;
         let cfg = small_cfg(5, 9, 3);
         let (w, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
@@ -202,35 +201,36 @@ proptest! {
         }
     }
 
-    /// Component-wise evaluation (SCC-stratified fixpoint, product-form
-    /// enumeration over independent rule groups) is set-equal to the
-    /// monolithic engines on random ordered programs — the differential
-    /// correctness gate for the decomposition.
+    /// Component-wise evaluation (the SCC-stratified flat fixpoint,
+    /// product-form enumeration over independent rule groups) is
+    /// set-equal to the monolithic engines on random ordered programs —
+    /// the differential correctness gate for the decomposition.
     #[test]
     fn decomposed_engines_agree_with_monolithic(seed in 0u64..10_000) {
-        use ordered_logic::semantics::{
-            enumerate_assumption_free_decomposed, enumerate_assumption_free_propagating,
-            least_model_monolithic, least_model_stratified, stable_models_decomposed,
-            stable_models_monolithic_budgeted,
+        use ordered_logic::semantics::enumerate_assumption_free_decomposed_budgeted;
+        use ordered_logic::semantics::enumerate_assumption_free_propagating;
+        use ordered_logic::semantics::reference::{
+            least_model_monolithic, stable_models_monolithic_budgeted,
         };
         let cfg = small_cfg(5, 9, 3);
         let (w, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
             let v = View::new(&g, CompId(ci as u32));
             prop_assert_eq!(
-                least_model_stratified(&v), least_model_monolithic(&v),
+                least_model(&v), least_model_monolithic(&v),
                 "stratified lfp differs (seed {}, comp {})", seed, ci);
             let mut a: Vec<String> = enumerate_assumption_free_propagating(&v, g.n_atoms)
                 .iter().map(|m| m.render(&w)).collect();
-            let mut b: Vec<String> = enumerate_assumption_free_decomposed(&v, g.n_atoms)
-                .iter().map(|m| m.render(&w)).collect();
+            let mut b: Vec<String> = enumerate_assumption_free_decomposed_budgeted(
+                &v, g.n_atoms, &Budget::unlimited(), None)
+                .into_value().iter().map(|m| m.render(&w)).collect();
             a.sort();
             b.sort();
             prop_assert_eq!(a, b, "AF sets differ (seed {}, comp {})", seed, ci);
             let mut sa: Vec<String> =
                 stable_models_monolithic_budgeted(&v, g.n_atoms, &Budget::unlimited(), None)
                     .into_value().iter().map(|m| m.render(&w)).collect();
-            let mut sb: Vec<String> = stable_models_decomposed(&v, g.n_atoms)
+            let mut sb: Vec<String> = stable_models(&v, g.n_atoms)
                 .iter().map(|m| m.render(&w)).collect();
             sa.sort();
             sb.sort();
@@ -390,9 +390,8 @@ proptest! {
 /// identical to the monolithic baseline.
 #[test]
 fn two_disjoint_fig2_copies_decompose_into_a_product() {
-    use ordered_logic::semantics::{
-        stable_models_decomposed, stable_models_monolithic_budgeted, Decomposition,
-    };
+    use ordered_logic::semantics::reference::stable_models_monolithic_budgeted;
+    use ordered_logic::semantics::Decomposition;
     let mut w = World::new();
     let p = parse_program(
         &mut w,
@@ -405,7 +404,7 @@ fn two_disjoint_fig2_copies_decompose_into_a_product() {
     let v = View::new(&g, c1);
     let d = Decomposition::new(&v);
     assert_eq!(d.groups().len(), 2, "disjoint copies → independent groups");
-    let mut dec: Vec<String> = stable_models_decomposed(&v, g.n_atoms)
+    let mut dec: Vec<String> = stable_models(&v, g.n_atoms)
         .iter()
         .map(|m| m.render(&w))
         .collect();

@@ -19,7 +19,7 @@ use ordered_logic::classic::{
     founded_models, is_3valued_model, partial_stable_models, stable_models_total, NafProgram,
 };
 use ordered_logic::prelude::*;
-use ordered_logic::semantics::{enumerate_assumption_free, enumerate_models};
+use ordered_logic::semantics::reference::{enumerate_assumption_free, enumerate_models};
 use ordered_logic::transform::{
     assumption_free_models_direct, is_assumption_free_direct, is_model_direct, stable_models_direct,
 };
