@@ -1,4 +1,4 @@
-//! Shared join machinery for the smart and delta grounders: compiled
+//! Join machinery of the smart grounder (`crate::delta`): compiled
 //! body plans, the per-argument-position derivability index, the greedy
 //! selectivity-driven join planner, and the batch-parallel frontier
 //! phase of the bulk-synchronous grounding loop.
@@ -9,7 +9,7 @@
 //! literals against the derivability index (pure reads of the [`World`]
 //! and the index) and *committing* emissions (interning new head atoms,
 //! growing `D`, the active domain and the frontier queue — all
-//! mutations). Both grounders therefore process the frontier in
+//! mutations). The grounder therefore processes the frontier in
 //! batches: phase A joins every work item of the batch against a frozen
 //! snapshot and records the complete matches; phase B replays the
 //! records sequentially in item order and performs the mutations.

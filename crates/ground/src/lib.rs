@@ -10,12 +10,15 @@
 //! * [`ground_exhaustive`] — full instantiation over the depth-bounded
 //!   Herbrand universe. The semantic reference; exact per §2 of the
 //!   paper. Exponential in rule arity, intended for the paper's example
-//!   programs and for validating the smart grounder.
-//! * [`ground_smart`] — relevance-restricted, join-based instantiation.
-//!   Sound and complete for the **least model, assumption-free models
-//!   and stable models** (everything the paper derives *from rules*);
+//!   programs and for validating the relevance-restricted grounder.
+//! * The relevance-restricted, join-based grounder in [`delta`]. Sound
+//!   and complete for the **least model, assumption-free models and
+//!   stable models** (everything the paper derives *from rules*);
 //!   arbitrary models containing assumptions over unreached atoms are
-//!   out of its scope. See [`smart`] for the algorithm and the
+//!   out of its scope. [`ground_smart`] runs it once and keeps nothing;
+//!   [`DeltaGrounder`] keeps its state and the provenance of every
+//!   instance so that asserting or retracting a rule re-grounds only
+//!   what changed. See [`delta`] for the algorithm and the
 //!   eternal-attacker construction that keeps overruling/defeating
 //!   faithful.
 //!
@@ -58,18 +61,14 @@
 )]
 
 pub mod delta;
-pub mod demand;
 pub mod exhaustive;
 pub mod flat;
 mod join;
 pub mod program;
-pub mod smart;
 pub mod universe;
 
-pub use delta::{DeltaGrounder, DeltaRuleId, GroundDelta};
-pub use demand::{ground_smart_for, relevant_predicates};
+pub use delta::{ground_smart, DeltaGrounder, DeltaRuleId, GroundDelta};
 pub use exhaustive::ground_exhaustive;
 pub use flat::{FlatIdx, FlatPatch, FlatView, Morsel, PredStats, ProgramStats};
 pub use program::{GroundProgram, GroundRule, RuleIdx};
-pub use smart::{ground_smart, ground_smart_seeded};
 pub use universe::{herbrand_universe, signature, GroundConfig, GroundError, Signature};

@@ -24,11 +24,11 @@ pub struct GroundConfig {
     /// Shared resource governor: deadline, step budget, cancellation.
     /// The default is unlimited; the instance caps above still apply.
     pub budget: Budget,
-    /// Worker threads for the frontier-join phase of the smart/delta
-    /// grounders. `1` (the default) runs everything on the calling
-    /// thread; any value produces a bit-identical ground program (see
-    /// `crate::smart` — phase A is read-only and phase B commits in a
-    /// fixed order).
+    /// Worker threads for the frontier-join phase of the smart
+    /// grounder, one-shot or persistent. `1` (the default) runs
+    /// everything on the calling thread; any value produces a
+    /// bit-identical ground program (see `crate::delta` — phase A is
+    /// read-only and phase B commits in a fixed order).
     pub threads: usize,
     /// Enables the selectivity-driven join planner (greedy body-literal
     /// reordering over the positional derivability index). `false`

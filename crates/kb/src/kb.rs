@@ -331,29 +331,26 @@ impl KbBuilder {
         self.build(strategy)
     }
 
-    /// [`KbBuilder::build`] with explicit grounding bounds.
+    /// [`KbBuilder::build`] with explicit grounding bounds. The build
+    /// grounds once and keeps no grounder state: a KB that is never
+    /// mutated never pays for it, and the first mutation builds the
+    /// persistent grounder (see [`Kb::assert_rule_with`]). `cfg.budget`
+    /// governs this build only; the KB keeps the other bounds.
     pub fn build_with(
         mut self,
         strategy: GroundStrategy,
         cfg: &GroundConfig,
     ) -> Result<Kb, KbError> {
-        let (ground, delta, delta_ids) = match strategy {
-            GroundStrategy::Smart => {
-                let (delta, gp) = DeltaGrounder::new(&mut self.world, &self.prog, cfg)?;
-                let ids = sequential_ids(&self.prog);
-                (gp, Some(delta), ids)
-            }
-            GroundStrategy::Exhaustive => (
-                ground_exhaustive(&mut self.world, &self.prog, cfg)?,
-                None,
-                Vec::new(),
-            ),
+        let ground = match strategy {
+            GroundStrategy::Smart => ground_smart(&mut self.world, &self.prog, cfg)?,
+            GroundStrategy::Exhaustive => ground_exhaustive(&mut self.world, &self.prog, cfg)?,
         };
         let mut kb = Kb::from_ground_parts(self.world, self.prog, ground);
         kb.strategy = strategy;
-        kb.cfg = cfg.clone();
-        kb.delta = delta;
-        kb.delta_ids = delta_ids;
+        kb.cfg = GroundConfig {
+            budget: Budget::unlimited(),
+            ..cfg.clone()
+        };
         kb.incremental = strategy == GroundStrategy::Smart;
         Ok(kb)
     }
@@ -477,10 +474,13 @@ pub struct Kb {
     /// memo above still softens recomputation when one did).
     stable_results: FxHashMap<CompId, (u64, Vec<Interpretation>)>,
     strategy: GroundStrategy,
+    /// Bounds for every grounding after the build. Its budget is
+    /// unlimited: a full refresh runs under the mutation's budget, and
+    /// the delta grounder's provenance build under none.
     cfg: GroundConfig,
     /// Persistent incremental grounder (Smart strategy only). `None`
-    /// after a full refresh or an incremental failure; rebuilt lazily by
-    /// the next incremental mutation.
+    /// until the first incremental mutation builds it, and again after
+    /// a full refresh or an interrupted mutation.
     delta: Option<DeltaGrounder>,
     /// `delta_ids[c][i]` is the grounder id of `prog.components[c].rules[i]`
     /// (kept aligned with `prog`; empty while `delta` is `None`).
@@ -913,9 +913,11 @@ impl Kb {
         self.ground = Arc::new(new_ground);
     }
 
-    /// Rebuilds the delta grounder from the current program if it was
-    /// dropped (full refresh, incremental failure, or a KB built before
-    /// `set_incremental(true)`).
+    /// Builds the delta grounder from the current program if there is
+    /// none: at a KB's first mutation (builds and snapshot reloads keep
+    /// no grounder state), and after a full refresh or an interrupted
+    /// mutation dropped it. The build runs under the KB's own
+    /// [`GroundConfig`], outside the mutation's budget.
     fn ensure_delta(&mut self) -> Result<(), KbError> {
         if self.delta.is_some() {
             return Ok(());
@@ -978,6 +980,12 @@ impl Kb {
     /// [`Kb::assert_rule`] under [`QueryOptions`] limits (the budget
     /// governs the grounding work; model recomputation stays lazy).
     ///
+    /// A KB's first incremental mutation, and the first one after an
+    /// interrupted mutation, first builds the delta grounder's
+    /// provenance from the current program. That build grounds the
+    /// whole program once under the KB's own [`GroundConfig`], outside
+    /// this call's budget.
+    ///
     /// On `Interrupted` the mutation is **not applied**: the KB still
     /// answers queries exactly as before the call. An incremental
     /// attempt that trips also drops the delta grounder; the next
@@ -1001,7 +1009,11 @@ impl Kb {
             .map(|ev| ev.expect_complete("unlimited retract cannot be interrupted"))
     }
 
-    /// [`Kb::retract_rule`] under [`QueryOptions`] limits.
+    /// [`Kb::retract_rule`] under [`QueryOptions`] limits. Like
+    /// [`Kb::assert_rule_with`], a KB's first incremental mutation (and
+    /// the first after an interrupted one) builds the delta grounder's
+    /// provenance first, under the KB's own [`GroundConfig`] and outside
+    /// this call's budget.
     ///
     /// On `Interrupted` the mutation is **not applied** (the partial
     /// payload is `false`): the matched rule is still present and the
@@ -1363,12 +1375,13 @@ impl Kb {
     }
 
     /// Reassembles a KB from already-grounded parts — a decoded
-    /// snapshot (`olp-store`). **No re-parse and no re-ground happens
-    /// here**: the ground program is installed as-is; the incremental
-    /// delta grounder is rebuilt lazily by the first mutation. The
-    /// caller guarantees `ground` is the deterministic grounding of
-    /// `prog` in `world` (true for any snapshot this code base wrote —
-    /// decoding validates checksums and id ranges).
+    /// snapshot (`olp-store`), or a one-shot grounding
+    /// ([`KbBuilder::build_with`], the CLI). **No re-parse and no
+    /// re-ground happens here**: the ground program is installed as-is;
+    /// the incremental delta grounder is built lazily by the first
+    /// mutation. The caller guarantees `ground` is the deterministic
+    /// grounding of `prog` in `world` (true for any snapshot this code
+    /// base wrote — decoding validates checksums and id ranges).
     pub fn from_ground_parts(
         world: World,
         prog: olp_core::OrderedProgram,
@@ -1898,6 +1911,24 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn build_budget_governs_the_build_only() {
+        // The first mutation grounds the program again to record
+        // provenance; a spent build budget must not stop it.
+        let budget = Budget::cancellable();
+        let cfg = GroundConfig {
+            budget: budget.clone(),
+            ..GroundConfig::default()
+        };
+        let mut b = KbBuilder::new();
+        b.rules("bird", "bird(penguin). fly(X) :- bird(X).")
+            .unwrap();
+        let mut kb = b.build_with(GroundStrategy::Smart, &cfg).unwrap();
+        budget.cancel();
+        kb.assert_rule("bird", "bird(sparrow).").unwrap();
+        assert_eq!(kb.truth("bird", "fly(sparrow)").unwrap(), Truth::True);
+    }
+
+    #[test]
     fn flat_view_cached_per_epoch_and_invalidated_by_mutation() {
         let mut kb = penguin_kb(GroundStrategy::Smart);
         // Within one epoch the compiled arena is built once and reused.
@@ -1929,11 +1960,15 @@ pub(crate) mod tests {
 
     /// Two objects with no isa relation and disjoint predicates: a
     /// mutation to one is invisible from the other.
-    fn two_island_kb() -> Kb {
+    fn two_island_builder() -> KbBuilder {
         let mut b = KbBuilder::new();
         b.rules("left", "p(a). q(X) :- p(X).").unwrap();
         b.rules("right", "r(z). s(X) :- r(X).").unwrap();
-        b.build(GroundStrategy::Smart).unwrap()
+        b
+    }
+
+    fn two_island_kb() -> Kb {
+        two_island_builder().build(GroundStrategy::Smart).unwrap()
     }
 
     #[test]
@@ -1942,7 +1977,16 @@ pub(crate) mod tests {
         // path: `commit` used to clear the whole flat cache, so a write
         // to any object forced every reader-side component to recompile
         // its arena and recompute its model from scratch.
-        let mut kb = two_island_kb();
+        let b = two_island_builder();
+        let (mut world, prog) = (b.world.clone(), b.prog.clone());
+        let mut kb = b.build(GroundStrategy::Smart).unwrap();
+        // The build installs exactly what a one-shot grounding returns
+        // and keeps no persistent grounder; the first mutation below
+        // builds it.
+        let want = ground_smart(&mut world, &prog, &GroundConfig::default()).unwrap();
+        assert_eq!(kb.ground.rules, want.rules);
+        assert_eq!(kb.ground.n_atoms, want.n_atoms);
+        assert!(kb.delta.is_none(), "a build records no provenance");
         let left = kb.comp("left").unwrap();
         let right = kb.comp("right").unwrap();
         let left_fv = kb.flat_view("left").unwrap();
@@ -1953,6 +1997,7 @@ pub(crate) mod tests {
 
         kb.assert_rule("right", "r(w).").unwrap();
         assert_eq!(kb.epoch(), 1);
+        assert!(kb.delta.is_some(), "the first mutation builds the grounder");
 
         // The untouched component's compiled arena survives by pointer…
         let left_fv2 = kb.flat_view("left").unwrap();

@@ -532,3 +532,53 @@ fn repl_save_without_db_reports_error_and_save_dir_works() {
     assert!(out.contains("least model:"), "{out}");
     std::fs::remove_dir_all(&copy).ok();
 }
+
+/// Byte goldens of the CLI's output under `tests/golden/`: `NAME.stdout`
+/// holds the exact standard output of one command run from the
+/// repository root with repo-relative paths, and `NAME.stderr` its
+/// standard error (no file means it prints nothing there). `check`
+/// prints instance counts and join-planner statistics, so these pin the
+/// grounder as well as the semantics. To regenerate one after an
+/// intended change, run the command from the repository root with its
+/// output redirected into the two files.
+#[test]
+fn cli_output_matches_goldens() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let names = ["loan", "p5", "penguin"];
+    let files = names.map(|n| format!("examples/programs/{n}.olp"));
+    let mut cases: Vec<(String, Vec<&str>)> = Vec::new();
+    for (name, file) in names.iter().zip(&files) {
+        cases.push((
+            format!("models_{name}"),
+            vec!["models", file, "--all-semantics"],
+        ));
+        cases.push((
+            format!("check_{name}"),
+            vec!["check", file, "--threads", "1"],
+        ));
+    }
+    let explain = "query examples/programs/penguin.olp c1 fly(penguin) --explain";
+    cases.push(("query_explain_penguin".into(), explain.split(' ').collect()));
+    let mut mismatches = Vec::new();
+    for (name, args) in &cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_olp"))
+            .args(args)
+            .current_dir(root)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "olp {}", args.join(" "));
+        let golden = |ext: &str| {
+            std::fs::read(format!("{root}/tests/golden/{name}.{ext}")).unwrap_or_default()
+        };
+        for (ext, got) in [("stdout", &out.stdout), ("stderr", &out.stderr)] {
+            if *got != golden(ext) {
+                mismatches.push(format!(
+                    "olp {} ({ext} differs from tests/golden/{name}.{ext}):\n{}",
+                    args.join(" "),
+                    String::from_utf8_lossy(got)
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
