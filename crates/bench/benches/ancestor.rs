@@ -21,8 +21,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_bench::{big_config, ground_built_smart};
 use olp_classic::{least_model_positive, NafProgram};
 use olp_core::{CompId, World};
-use olp_ground::ground_exhaustive;
-use olp_semantics::{least_model, View};
+use olp_ground::{ground_exhaustive, FlatView};
+use olp_semantics::least_model;
 use olp_workload::{ancestor, GraphShape};
 use std::hint::black_box;
 use std::time::Duration;
@@ -68,7 +68,7 @@ fn bench_ancestor(c: &mut Criterion) {
                 BenchmarkId::new(format!("ordered_fixpoint/{label}"), n),
                 &n,
                 |b, _| {
-                    let view = View::new(&ground, CompId(0));
+                    let view = FlatView::new(&ground, CompId(0));
                     b.iter(|| black_box(least_model(&view)));
                 },
             );

@@ -23,11 +23,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_core::{Budget, World};
-use olp_ground::{ground_exhaustive, GroundConfig};
+use olp_ground::{ground_exhaustive, FlatView, GroundConfig};
 use olp_semantics::reference::stable_models_monolithic_budgeted;
 use olp_semantics::{
     enumerate_assumption_free_decomposed_budgeted, enumerate_assumption_free_propagating,
-    stable_models, View,
+    stable_models,
 };
 use olp_workload::defeating_cliques;
 use std::hint::black_box;
@@ -43,19 +43,17 @@ fn bench_decomp(c: &mut Criterion) {
         let prog = defeating_cliques(&mut world, k);
         let ground = ground_exhaustive(&mut world, &prog, &GroundConfig::default()).unwrap();
         let consumer = olp_core::CompId(0);
-        let n = ground.n_atoms;
 
         group.bench_with_input(BenchmarkId::new("af_monolithic", k), &k, |b, _| {
-            let view = View::new(&ground, consumer);
-            b.iter(|| black_box(enumerate_assumption_free_propagating(&view, n)));
+            let view = FlatView::new(&ground, consumer);
+            b.iter(|| black_box(enumerate_assumption_free_propagating(&view)));
         });
         group.bench_with_input(BenchmarkId::new("af_decomposed", k), &k, |b, _| {
-            let view = View::new(&ground, consumer);
+            let view = FlatView::new(&ground, consumer);
             b.iter(|| {
                 black_box(
                     enumerate_assumption_free_decomposed_budgeted(
                         &view,
-                        n,
                         &Budget::unlimited(),
                         None,
                     )
@@ -64,17 +62,17 @@ fn bench_decomp(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("stable_monolithic", k), &k, |b, _| {
-            let view = View::new(&ground, consumer);
+            let view = FlatView::new(&ground, consumer);
             b.iter(|| {
                 black_box(
-                    stable_models_monolithic_budgeted(&view, n, &Budget::unlimited(), None)
+                    stable_models_monolithic_budgeted(&view, &Budget::unlimited(), None)
                         .into_value(),
                 )
             });
         });
         group.bench_with_input(BenchmarkId::new("stable_decomposed", k), &k, |b, _| {
-            let view = View::new(&ground, consumer);
-            b.iter(|| black_box(stable_models(&view, n)));
+            let view = FlatView::new(&ground, consumer);
+            b.iter(|| black_box(stable_models(&view)));
         });
     }
     group.finish();

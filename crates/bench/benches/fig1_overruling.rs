@@ -20,10 +20,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_bench::{big_config, ground_built_smart};
 use olp_core::{Budget, CompId, World};
-use olp_ground::ground_exhaustive;
+use olp_ground::{ground_exhaustive, FlatView};
 use olp_parser::parse_ground_literal;
 use olp_semantics::reference::least_model_naive;
-use olp_semantics::{least_model, least_model_budgeted, prove, View};
+use olp_semantics::{least_model, least_model_budgeted, prove};
 use olp_workload::taxonomy_chain;
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,33 +41,33 @@ fn bench_fig1(c: &mut Criterion) {
         let most_specific = CompId(0);
 
         group.bench_with_input(BenchmarkId::new("least_model", n), &n, |b, _| {
-            let view = View::new(&ground, most_specific);
+            let view = FlatView::new(&ground, most_specific);
             b.iter(|| black_box(least_model(&view)));
         });
         // Governor overhead guard: the same fixpoint under a generous
         // budget (never trips, so the entire delta is tick accounting).
         // Target: within 5% of the unbudgeted `least_model` at N = 256.
         group.bench_with_input(BenchmarkId::new("budget_overhead", n), &n, |b, _| {
-            let view = View::new(&ground, most_specific);
+            let view = FlatView::new(&ground, most_specific);
             let budget = Budget::with_steps(u64::MAX);
             b.iter(|| black_box(least_model_budgeted(&view, &budget)));
         });
         if n <= 256 {
             group.bench_with_input(BenchmarkId::new("least_model_naive", n), &n, |b, _| {
-                let view = View::new(&ground, most_specific);
+                let view = FlatView::new(&ground, most_specific);
                 b.iter(|| black_box(least_model_naive(&view)));
             });
         }
         // Goal-directed single query vs materialising the whole model:
         // the relevance cone of one species is constant-size.
         group.bench_with_input(BenchmarkId::new("prove_one_query", n), &n, |b, _| {
-            let view = View::new(&ground, most_specific);
+            let view = FlatView::new(&ground, most_specific);
             let mut w = world.clone();
             let q = parse_ground_literal(&mut w, "fly(s0)").unwrap();
             b.iter(|| black_box(prove(&view, q)));
         });
         group.bench_with_input(BenchmarkId::new("view_build", n), &n, |b, _| {
-            b.iter(|| black_box(View::new(&ground, most_specific)));
+            b.iter(|| black_box(FlatView::new(&ground, most_specific)));
         });
         group.bench_with_input(BenchmarkId::new("ground_smart", n), &n, |b, _| {
             b.iter(|| {

@@ -21,7 +21,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_bench::ground_built_smart;
 use olp_core::{CompId, World};
-use olp_semantics::{least_model, View};
+use olp_ground::FlatView;
+use olp_semantics::least_model;
 use olp_workload::defeating_pairs;
 use std::hint::black_box;
 use std::time::Duration;
@@ -39,7 +40,7 @@ fn bench_fig2(c: &mut Criterion) {
         let one_expert = CompId(1);
 
         group.bench_with_input(BenchmarkId::new("consumer_least_model", n), &n, |b, _| {
-            let view = View::new(&ground, consumer);
+            let view = FlatView::new(&ground, consumer);
             b.iter(|| {
                 let m = least_model(&view);
                 assert!(m.is_empty(), "defeating must suppress everything");
@@ -47,7 +48,7 @@ fn bench_fig2(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("expert_least_model", n), &n, |b, _| {
-            let view = View::new(&ground, one_expert);
+            let view = FlatView::new(&ground, one_expert);
             b.iter(|| black_box(least_model(&view)));
         });
         group.bench_with_input(BenchmarkId::new("order_closure", n), &n, |b, _| {

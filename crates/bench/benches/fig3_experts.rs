@@ -16,7 +16,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_bench::ground_built_smart;
 use olp_core::{CompId, World};
-use olp_semantics::{least_model, View};
+use olp_ground::FlatView;
+use olp_semantics::least_model;
 use olp_workload::expert_panel;
 use std::hint::black_box;
 use std::time::Duration;
@@ -37,11 +38,11 @@ fn bench_fig3(c: &mut Criterion) {
             b.iter(|| {
                 let mut w = world.clone();
                 let g = ground_built_smart(&mut w, &prog);
-                black_box(least_model(&View::new(&g, myself)))
+                black_box(least_model(&FlatView::new(&g, myself)))
             });
         });
         group.bench_with_input(BenchmarkId::new("fixpoint_only", n), &n, |b, _| {
-            let view = View::new(&ground, myself);
+            let view = FlatView::new(&ground, myself);
             b.iter(|| black_box(least_model(&view)));
         });
     }
@@ -55,7 +56,7 @@ fn bench_fig3(c: &mut Criterion) {
         let prog = expert_panel(&mut world, 16, infl, rate);
         let ground = ground_built_smart(&mut world, &prog);
         group.bench_function(BenchmarkId::new("scenario", label), |b| {
-            let view = View::new(&ground, CompId(0));
+            let view = FlatView::new(&ground, CompId(0));
             b.iter(|| black_box(least_model(&view)));
         });
     }

@@ -23,9 +23,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_classic::{partial_stable_models, stable_models_total, NafProgram};
 use olp_core::World;
-use olp_ground::{ground_exhaustive, GroundConfig};
+use olp_ground::{ground_exhaustive, FlatView, GroundConfig};
 use olp_semantics::reference::stable_models_naive;
-use olp_semantics::{stable_models, View};
+use olp_semantics::stable_models;
 use olp_transform::ordered_version;
 use olp_workload::{random_seminegative, RandomCfg};
 use std::hint::black_box;
@@ -62,16 +62,16 @@ fn bench_stable(c: &mut Criterion) {
             BenchmarkId::new("ordered_stable", n_atoms),
             &n_atoms,
             |b, _| {
-                let view = View::new(&ov, ov_c);
-                b.iter(|| black_box(stable_models_naive(&view, n)));
+                let view = FlatView::new(&ov, ov_c);
+                b.iter(|| black_box(stable_models_naive(&view)));
             },
         );
         group.bench_with_input(
             BenchmarkId::new("ordered_stable_propagating", n_atoms),
             &n_atoms,
             |b, _| {
-                let view = View::new(&ov, ov_c);
-                b.iter(|| black_box(stable_models(&view, n)));
+                let view = FlatView::new(&ov, ov_c);
+                b.iter(|| black_box(stable_models(&view)));
             },
         );
         group.bench_with_input(

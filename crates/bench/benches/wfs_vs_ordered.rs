@@ -25,9 +25,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olp_bench::win_move_src;
 use olp_classic::{well_founded_model, NafProgram};
 use olp_core::World;
-use olp_ground::{ground_smart, GroundConfig};
+use olp_ground::{ground_smart, FlatView, GroundConfig};
 use olp_parser::parse_program;
-use olp_semantics::{least_model, View};
+use olp_semantics::least_model;
 use olp_transform::{extended_version, ordered_version};
 use std::hint::black_box;
 use std::time::Duration;
@@ -56,11 +56,11 @@ fn bench_wfs(c: &mut Criterion) {
             b.iter(|| black_box(well_founded_model(&naf)));
         });
         group.bench_with_input(BenchmarkId::new("ordered_ov_lfp", n), &n, |b, _| {
-            let view = View::new(&ov, ov_c);
+            let view = FlatView::new(&ov, ov_c);
             b.iter(|| black_box(least_model(&view)));
         });
         group.bench_with_input(BenchmarkId::new("ordered_ev_lfp", n), &n, |b, _| {
-            let view = View::new(&ev, ev_c);
+            let view = FlatView::new(&ev, ev_c);
             b.iter(|| black_box(least_model(&view)));
         });
     }

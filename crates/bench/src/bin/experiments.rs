@@ -10,7 +10,7 @@ use olp_classic::{
     founded_models, partial_stable_models, stable_models_total, well_founded_model, NafProgram,
 };
 use olp_core::{CompId, Interpretation, World};
-use olp_ground::{ground_exhaustive, GroundConfig};
+use olp_ground::{ground_exhaustive, FlatView, GroundConfig};
 use olp_kb::{GroundStrategy, Kb, KbBuilder};
 use olp_parser::{parse_ground_literal, parse_program};
 use olp_semantics::reference::{
@@ -18,7 +18,7 @@ use olp_semantics::reference::{
 };
 use olp_semantics::{
     enumerate_assumption_free_decomposed_budgeted, enumerate_assumption_free_propagating,
-    has_total_model, is_assumption_free, is_model, least_model, stable_models, View,
+    has_total_model, is_assumption_free, is_model, least_model, stable_models,
 };
 use olp_transform::{extended_version, ordered_version, three_level_version};
 use olp_workload::{
@@ -73,7 +73,7 @@ fn main() {
     {
         let mut b = setup_exhaustive(FIG1_SRC);
         let c1 = comp(&b, "c1");
-        let m = least_model(&View::new(&b.ground, c1));
+        let m = least_model(&FlatView::new(&b.ground, c1));
         let i1 = interp(
             &mut b.world,
             &[
@@ -92,7 +92,7 @@ fn main() {
             m == i1 && m.is_total(b.ground.n_atoms),
         );
         let c2 = comp(&b, "c2");
-        let m2 = least_model(&View::new(&b.ground, c2));
+        let m2 = least_model(&FlatView::new(&b.ground, c2));
         let fly_p = lit(&mut b.world, "fly(penguin)");
         r.row(
             "E1 (view C2)",
@@ -106,7 +106,7 @@ fn main() {
              -ground_animal(X) :- bird(X). ground_animal(penguin).
              -fly(X) :- ground_animal(X).";
         let mut b = setup_exhaustive(src);
-        let v = View::new(&b.ground, CompId(0));
+        let v = FlatView::new(&b.ground, CompId(0));
         let m = least_model(&v);
         let i1_hat = interp(
             &mut b.world,
@@ -129,10 +129,10 @@ fn main() {
     {
         let b = setup_exhaustive(FIG2_SRC);
         let c1 = comp(&b, "c1");
-        let v = View::new(&b.ground, c1);
+        let v = FlatView::new(&b.ground, c1);
         let m = least_model(&v);
         let total = has_total_model(&v, b.ground.n_atoms);
-        let af = enumerate_assumption_free(&v, b.ground.n_atoms);
+        let af = enumerate_assumption_free(&v);
         r.row(
             "E3 (Fig.2/Ex.2-4)",
             "rich/poor defeat; empty AF model; no total model for P2 in C1",
@@ -163,7 +163,7 @@ fn main() {
         for (facts, label, expect) in scenarios {
             let mut b = setup_exhaustive(&fig3_src(facts));
             let myself = comp(&b, "myself");
-            let m = least_model(&View::new(&b.ground, myself));
+            let m = least_model(&FlatView::new(&b.ground, myself));
             let t = lit(&mut b.world, "take_loan");
             let got = (m.holds(t), m.holds(t.complement()));
             all_ok &= got == expect;
@@ -180,7 +180,7 @@ fn main() {
     // ------------------------------------------------------------- E5
     {
         let b = setup_exhaustive("a :- b. -a :- b.");
-        let v = View::new(&b.ground, CompId(0));
+        let v = FlatView::new(&b.ground, CompId(0));
         let models = enumerate_models(&v, b.ground.n_atoms, None);
         let mut renders: Vec<String> = models.iter().map(|m| m.render(&b.world)).collect();
         renders.sort();
@@ -200,15 +200,15 @@ fn main() {
     // ------------------------------------------------------------- E6
     {
         let mut b = setup_exhaustive("a :- b.");
-        let v = View::new(&b.ground, CompId(0));
-        let af = enumerate_assumption_free(&v, b.ground.n_atoms);
+        let v = FlatView::new(&b.ground, CompId(0));
+        let af = enumerate_assumption_free(&v);
         let nn = interp(&mut b.world, &["-a", "-b"]);
         let nn_model = is_model(&v, &nn, b.ground.n_atoms);
         let nn_af = is_assumption_free(&v, &nn);
         let b2 = setup_exhaustive("module c2 { -a. -b. } module c1 < c2 { a :- b. }");
         let c1 = comp(&b2, "c1");
-        let v2 = View::new(&b2.ground, c1);
-        let stable2 = stable_models(&v2, b2.ground.n_atoms);
+        let v2 = FlatView::new(&b2.ground, c1);
+        let stable2 = stable_models(&v2);
         r.row(
             "E6 (P4, Ex.4)",
             "∅ is the only AF model of {a←b}; {¬a,¬b} is a model but not AF; adding CWA C2 makes it the (stable) AF model",
@@ -229,8 +229,8 @@ fn main() {
              module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
         );
         let c1 = comp(&b, "c1");
-        let v = View::new(&b.ground, c1);
-        let stable = stable_models(&v, b.ground.n_atoms);
+        let v = FlatView::new(&b.ground, c1);
+        let stable = stable_models(&v);
         let mut renders: Vec<String> = stable.iter().map(|m| m.render(&b.world)).collect();
         renders.sort();
         let lm = least_model(&v);
@@ -256,7 +256,7 @@ fn main() {
         let rules = flat.components[0].rules.clone();
         let (ov, c) = ordered_version(&mut w, &rules);
         let g = ground_exhaustive(&mut w, &ov, &GroundConfig::default()).unwrap();
-        let m = least_model(&View::new(&g, c));
+        let m = least_model(&FlatView::new(&g, c));
         let ok = m.is_total(g.n_atoms)
             && m.holds(lit(&mut w, "anc(a,c)"))
             && m.holds(lit(&mut w, "-anc(c,a)"));
@@ -280,10 +280,10 @@ fn main() {
         let ovg = ground_exhaustive(&mut w, &ov, &gc).unwrap();
         let m_p = interp(&mut w, &["p"]);
         let three_valued = olp_classic::is_3valued_model(&naf, &m_p);
-        let ov_model = is_model(&View::new(&ovg, c), &m_p, ovg.n_atoms);
+        let ov_model = is_model(&FlatView::new(&ovg, c), &m_p, ovg.n_atoms);
         let (ev, ec) = extended_version(&mut w, &rules);
         let evg = ground_exhaustive(&mut w, &ev, &gc).unwrap();
-        let ev_model = is_model(&View::new(&evg, ec), &m_p, evg.n_atoms);
+        let ev_model = is_model(&FlatView::new(&evg, ec), &m_p, evg.n_atoms);
         r.row(
             "E9 (Ex.7 p←¬p)",
             "{p} is a 3-valued model of C but NOT a model of OV(C); EV(C) recovers it",
@@ -305,7 +305,7 @@ fn main() {
         let rules = flat.components[0].rules.clone();
         let (tv, cm) = three_level_version(&mut w, &rules);
         let g = ground_exhaustive(&mut w, &tv, &GroundConfig::default()).unwrap();
-        let stable = stable_models(&View::new(&g, cm), g.n_atoms);
+        let stable = stable_models(&FlatView::new(&g, cm));
         let ok = stable.len() == 1
             && stable[0].holds(lit(&mut w, "-fly(tweety)"))
             && stable[0].holds(lit(&mut w, "fly(robin)"));
@@ -335,7 +335,7 @@ fn main() {
         let n = w.atoms.len();
         let mut naf = NafProgram::from_ground(&fg).unwrap();
         naf.n_atoms = n;
-        let ov_stable = stable_models(&View::new(&ovg, c), n);
+        let ov_stable = stable_models(&FlatView::new(&ovg, c));
         let sz = partial_stable_models(&naf);
         let gl = stable_models_total(&naf);
         let wfm = well_founded_model(&naf);
@@ -368,7 +368,7 @@ fn main() {
         let t0 = Instant::now();
         let g = ground_built_smart(&mut w, &prog);
         let t_ground = t0.elapsed();
-        let view = View::new(&g, CompId(0));
+        let view = FlatView::new(&g, CompId(0));
         let t1 = Instant::now();
         let m = least_model(&view);
         let t_fix = t1.elapsed();
@@ -389,7 +389,7 @@ fn main() {
         let mut w = World::new();
         let prog = taxonomy_chain(&mut w, n, 4);
         let g = ground_built_smart(&mut w, &prog);
-        let view = View::new(&g, CompId(0));
+        let view = FlatView::new(&g, CompId(0));
         let q = parse_ground_literal(&mut w, "fly(s0)").unwrap();
         let t0 = Instant::now();
         let full = least_model(&view).holds(q);
@@ -408,7 +408,7 @@ fn main() {
         let mut w = World::new();
         let prog = defeating_pairs(&mut w, n);
         let g = ground_built_smart(&mut w, &prog);
-        let view = View::new(&g, CompId(0));
+        let view = FlatView::new(&g, CompId(0));
         let t = Instant::now();
         let m = least_model(&view);
         println!(
@@ -424,7 +424,7 @@ fn main() {
         let prog = expert_panel(&mut w, n, 19, 16);
         let t0 = Instant::now();
         let g = ground_built_smart(&mut w, &prog);
-        let view = View::new(&g, CompId(0));
+        let view = FlatView::new(&g, CompId(0));
         let m = least_model(&view);
         let take = parse_ground_literal(&mut w, "take_loan").unwrap();
         println!(
@@ -473,7 +473,7 @@ fn main() {
         let t_wfs = t0.elapsed();
         let (ov, c) = ordered_version(&mut w, &rules);
         let ovg = olp_ground::ground_smart(&mut w, &ov, &gc).unwrap();
-        let view = View::new(&ovg, c);
+        let view = FlatView::new(&ovg, c);
         let t1 = Instant::now();
         let _ = least_model(&view);
         let t_olp = t1.elapsed();
@@ -507,14 +507,11 @@ fn main() {
             let mut w = World::new();
             let prog = defeating_cliques(&mut w, k);
             let g = ground_built_exhaustive(&mut w, &prog);
-            let view = View::new(&g, CompId(0));
-            let n = g.n_atoms;
-            let (t_af_mono, af_mono) =
-                best_of_3(|| enumerate_assumption_free_propagating(&view, n));
+            let view = FlatView::new(&g, CompId(0));
+            let (t_af_mono, af_mono) = best_of_3(|| enumerate_assumption_free_propagating(&view));
             let (t_af_dec, af_dec) = best_of_3(|| {
                 enumerate_assumption_free_decomposed_budgeted(
                     &view,
-                    n,
                     &olp_core::Budget::unlimited(),
                     None,
                 )
@@ -526,10 +523,10 @@ fn main() {
                 "decomposed AF set differs from monolithic at k={k}"
             );
             let (t_st_mono, st_mono) = best_of_3(|| {
-                stable_models_monolithic_budgeted(&view, n, &olp_core::Budget::unlimited(), None)
+                stable_models_monolithic_budgeted(&view, &olp_core::Budget::unlimited(), None)
                     .into_value()
             });
-            let (t_st_dec, st_dec) = best_of_3(|| stable_models(&view, n));
+            let (t_st_dec, st_dec) = best_of_3(|| stable_models(&view));
             assert_eq!(
                 rendered(&st_mono, &w),
                 rendered(&st_dec, &w),
@@ -740,16 +737,18 @@ fn main() {
         use olp_core::Budget;
         use olp_ground::{ground_smart, GroundProgram};
         use olp_semantics::reference::least_model_monolithic;
-        use olp_semantics::{flatten, least_model_flat, least_model_morsel, MorselCfg};
-        // The morsel scheduler at `threads` workers (its sequential
-        // path at one thread).
-        let morsel_least_model = |view: &View, threads: usize| {
-            least_model_morsel(
-                &flatten(view),
-                &MorselCfg::with_threads(threads),
-                &Budget::unlimited(),
-            )
-            .into_value()
+        use olp_semantics::{least_model, least_model_morsel, MorselCfg};
+        // Compiles the arena of component 0 and runs the flat fixpoint
+        // on it: sequentially at one thread, else under the morsel
+        // scheduler at `threads` workers.
+        let flat_least_model = |g: &GroundProgram, threads: usize| {
+            let fv = FlatView::new(g, CompId(0));
+            if threads == 1 {
+                least_model(&fv)
+            } else {
+                let cfg = MorselCfg::with_threads(threads);
+                least_model_morsel(&fv, &cfg, &Budget::unlimited()).into_value()
+            }
         };
 
         const N: usize = 220;
@@ -808,7 +807,7 @@ fn main() {
         let dflt = GroundConfig::default().max_instances;
         let (w1, g1) = build_ancestor(N, EDGES, 1, true, dflt);
         let ref_render = g1.render(&w1);
-        let ref_model = least_model_monolithic(&View::new(&g1, CompId(0))).render(&w1);
+        let ref_model = least_model_monolithic(&FlatView::new(&g1, CompId(0))).render(&w1);
 
         let mut anc_rows = Vec::new();
         let mut e2e_1t = Duration::MAX;
@@ -821,14 +820,7 @@ fn main() {
                 gt.render(&wt),
                 "parallel ground program differs at {threads} threads"
             );
-            let view = View::new(&gt, CompId(0));
-            let (t_lfp, model) = best_of_3(|| {
-                if threads == 1 {
-                    least_model_flat(&flatten(&view))
-                } else {
-                    morsel_least_model(&view, threads)
-                }
-            });
+            let (t_lfp, model) = best_of_3(|| flat_least_model(&gt, threads));
             assert_eq!(
                 ref_model,
                 model.render(&wt),
@@ -896,17 +888,10 @@ fn main() {
         let mut wq = World::new();
         let pq = defeating_cliques(&mut wq, CLIQUES);
         let gq = ground_smart(&mut wq, &pq, &GroundConfig::default()).expect("cliques ground");
-        let qview = View::new(&gq, CompId(0));
-        let clique_ref = least_model_monolithic(&qview).render(&wq);
+        let clique_ref = least_model_monolithic(&FlatView::new(&gq, CompId(0))).render(&wq);
         let mut clique_rows = Vec::new();
         for &threads in &thread_counts {
-            let (t_lfp, model) = best_of_3(|| {
-                if threads == 1 {
-                    least_model_flat(&flatten(&qview))
-                } else {
-                    morsel_least_model(&qview, threads)
-                }
-            });
+            let (t_lfp, model) = best_of_3(|| flat_least_model(&gq, threads));
             assert_eq!(
                 clique_ref,
                 model.render(&wq),

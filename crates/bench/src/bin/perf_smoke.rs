@@ -32,10 +32,10 @@
 //! coverage is a perf regression, not a skip).
 
 use olp_core::{Budget, CompId, World};
-use olp_ground::{ground_smart, GroundConfig, GroundProgram};
+use olp_ground::{ground_smart, FlatView, GroundConfig, GroundProgram};
 use olp_kb::{GroundStrategy, Kb, KbBuilder};
 use olp_parser::parse_program;
-use olp_semantics::{flatten, least_model_flat, least_model_morsel, MorselCfg, View};
+use olp_semantics::{least_model, least_model_morsel, MorselCfg};
 use olp_workload::{ancestor, mutation_stream, taxonomy_chain, GraphShape, Mutation, MutationCfg};
 use std::time::{Duration, Instant};
 
@@ -80,12 +80,12 @@ fn end_to_end(threads: usize) -> (Duration, String) {
     for _ in 0..3 {
         let t = Instant::now();
         let (w, g) = build(threads);
-        let view = View::new(&g, CompId(0));
+        let fv = FlatView::new(&g, CompId(0));
         let m = if threads == 1 {
-            least_model_flat(&flatten(&view))
+            least_model(&fv)
         } else {
             let cfg = MorselCfg::with_threads(threads);
-            least_model_morsel(&flatten(&view), &cfg, &Budget::unlimited()).into_value()
+            least_model_morsel(&fv, &cfg, &Budget::unlimited()).into_value()
         };
         best = best.min(t.elapsed());
         model = m.render(&w);

@@ -103,16 +103,17 @@ pub fn win_move_src(n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olp_semantics::{least_model, View};
+    use olp_ground::FlatView;
+    use olp_semantics::least_model;
 
     #[test]
     fn fig_sources_work() {
         let b1 = setup_exhaustive(FIG1_SRC);
-        assert!(!least_model(&View::new(&b1.ground, comp(&b1, "c1"))).is_empty());
+        assert!(!least_model(&FlatView::new(&b1.ground, comp(&b1, "c1"))).is_empty());
         let b2 = setup_exhaustive(FIG2_SRC);
-        assert!(least_model(&View::new(&b2.ground, comp(&b2, "c1"))).is_empty());
+        assert!(least_model(&FlatView::new(&b2.ground, comp(&b2, "c1"))).is_empty());
         let b3 = setup_exhaustive(&fig3_src("inflation(12)."));
-        assert!(!least_model(&View::new(&b3.ground, comp(&b3, "myself"))).is_empty());
+        assert!(!least_model(&FlatView::new(&b3.ground, comp(&b3, "myself"))).is_empty());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //!
 //! ## Batch-synchronous closure and parallelism
 //!
-//! The semi-naive closure runs in batches (see [`crate::join`]): phase
+//! The semi-naive closure runs in batches (the private `join` module): phase
 //! A joins the whole frontier against a frozen derivability index —
 //! read-only, so it fans out over [`GroundConfig::threads`] workers —
 //! and phase B commits the matches sequentially in item order. Since
@@ -178,9 +178,12 @@ pub struct DeltaGrounder {
     queue: VecDeque<GLit>,
     /// `(rule, body position)` join drivers per (pred, sign).
     drivers: FxHashMap<(PredId, Sign), Vec<(usize, usize)>>,
-    /// Rules re-run whenever the active domain grows (facts and rules
-    /// with residual variables).
+    /// Rules re-run whenever the active domain grows: rules with
+    /// residual variables (including non-ground facts).
     adom_dependent: Vec<usize>,
+    /// Ground facts not yet seeded. A ground fact has one instance,
+    /// whatever the domain, so the closure seeds each exactly once.
+    fresh_facts: Vec<usize>,
     /// Whether phase 1 records provenance in `insts` (a persistent
     /// grounder) or emits straight into `out` (a one-shot grounding).
     record: bool,
@@ -303,6 +306,7 @@ impl DeltaGrounder {
             queue: VecDeque::new(),
             drivers: FxHashMap::default(),
             adom_dependent: Vec::new(),
+            fresh_facts: Vec::new(),
             record,
             insts: Vec::new(),
             seen: FxHashSet::default(),
@@ -357,8 +361,10 @@ impl DeltaGrounder {
                 .or_default()
                 .push((ix, pos));
         }
-        if lits.is_empty() || !residual.is_empty() {
+        if !residual.is_empty() {
             self.adom_dependent.push(ix);
+        } else if lits.is_empty() {
+            self.fresh_facts.push(ix);
         }
         self.plans.push(compile_body(world, &lits));
         self.rules.push(DRule {
@@ -401,7 +407,9 @@ impl DeltaGrounder {
             self.adom_add_term(world, c);
         }
         // Seed join: instances of the new rule whose bodies are already
-        // within `D` (later derivations drive it via `drivers`).
+        // within `D` (later derivations drive it via `drivers`). This
+        // seeds a new ground fact, so the closure does not seed it again.
+        self.fresh_facts.retain(|&r| r != id as usize);
         self.run_batch(world, &[Item::Seed { rule: id as usize }])?;
         self.run_closure(world)?;
         self.attackers(world)?;
@@ -559,10 +567,11 @@ impl DeltaGrounder {
     /// Phase 1: the derivability closure and its firing instances, as
     /// a batch-synchronous semi-naive loop that drains the derivation
     /// queue batchwise and re-runs the active-domain-dependent rules
-    /// (facts — which also seed the closure — and rules with residual
-    /// variables) whenever the domain has grown. A recording grounder
-    /// deduplicates emissions against `seen`, so re-running is
-    /// idempotent.
+    /// (rules with residual variables) whenever the domain has grown.
+    /// Ground facts not yet seeded join the first such batch, in
+    /// registration order with the others, and are never seeded again.
+    /// A recording grounder deduplicates emissions against `seen`, so
+    /// re-running is idempotent.
     fn run_closure(&mut self, world: &mut World) -> Result<(), GroundError> {
         let mut last_adom = usize::MAX;
         let mut items: Vec<Item> = Vec::new();
@@ -570,11 +579,18 @@ impl DeltaGrounder {
             items.clear();
             if self.adom.len() != last_adom {
                 last_adom = self.adom.len();
+                let mut seeds = std::mem::take(&mut self.fresh_facts);
+                if seeds.is_empty() {
+                    seeds.extend_from_slice(&self.adom_dependent);
+                } else {
+                    seeds.extend_from_slice(&self.adom_dependent);
+                    seeds.sort_unstable();
+                }
                 items.extend(
-                    self.adom_dependent
-                        .iter()
-                        .filter(|&&r| self.rules[r].alive)
-                        .map(|&r| Item::Seed { rule: r }),
+                    seeds
+                        .into_iter()
+                        .filter(|&r| self.rules[r].alive)
+                        .map(|rule| Item::Seed { rule }),
                 );
             } else if !self.queue.is_empty() {
                 while let Some(l) = self.queue.pop_front() {

@@ -1,36 +1,45 @@
-//! Flat, stratum-sorted arena representation of a component view.
+//! The compiled component view: `ground(C*)` as one flat,
+//! stratum-sorted arena that every evaluator reads.
 //!
-//! The interpretive evaluators walk a [`GroundProgram`] through
-//! per-view hash maps (`by_body: FxHashMap<GLit, Vec<LocalIdx>>` and
-//! friends): every derived literal pays a hash + probe to find the
-//! rules watching it. A [`FlatView`] compiles the same view once into
-//! dense contiguous arenas so the semi-naive inner loop is pure index
-//! arithmetic:
+//! A [`FlatView`] compiles the view of a component once into dense
+//! contiguous arenas, so the semi-naive inner loop is pure index
+//! arithmetic and every other reader (model checks, enumeration,
+//! explanations) walks the same arrays:
 //!
 //! * rules live in **one** flat order, sorted by `(dependency level,
 //!   SCC)` of their head atom — every stratum is a contiguous rule
 //!   range, every level a contiguous stratum range, and stratum
-//!   membership tests collapse to a range check;
-//! * rule bodies, watch lists and attack lists are CSR
+//!   membership tests collapse to a range check. Within a stratum the
+//!   rules keep **program order** (the `(comp, head, body)` order of
+//!   [`GroundProgram::rules`]), in a freshly built and a patched arena
+//!   alike, so every rule list the arena hands out (rules by head,
+//!   overrulers, defeaters) is in program order too;
+//! * rule bodies, watch lists, head buckets and attack lists are CSR
 //!   (offsets + payload) over `u32` ids;
-//! * watch lists are indexed by [`GLit::code`] — literals over atoms
-//!   `0..n` occupy codes `0..2n`, so "who watches this literal?" is an
-//!   array load, and truth state is a [`olp_core::BitSet`] indexed by
-//!   the same dense code space (one bit per signed atom);
+//! * lookups by literal are indexed by [`GLit::code`] — literals over
+//!   atoms `0..n` occupy codes `0..2n`, so "who watches this literal?"
+//!   is an array load, and truth state is a [`olp_core::BitSet`]
+//!   indexed by the same dense code space. A literal over an atom the
+//!   arena does not cover (interned after it was built) has no rules;
 //! * per-stratum dependency edges (`stratum_preds`) and statistics-based
-//!   weights feed the morsel partitioner of the parallel fixpoint.
+//!   weights feed the morsel partitioner of the parallel fixpoint;
+//! * the five rule statuses of Definition 2 — *applicable* (`B(r) ⊆ I`),
+//!   *applied* (and `H(r) ∈ I`), *blocked* (some body literal's
+//!   complement is in `I`), *overruled* / *defeated* (some non-blocked
+//!   rule with the complementary head in a strictly lower / the same or
+//!   an incomparable component) — are evaluated against any
+//!   [`Interpretation`].
 //!
 //! The attack structure (overrulers / defeaters per Definition 2) is
-//! recomputed here from head-atom buckets plus [`olp_core::Order`]; the
-//! semantics crate differentially tests it against the interpretive
-//! `View`'s hash-map construction.
+//! computed from head-literal buckets plus [`olp_core::Order`]; the
+//! tests rebuild it by brute force from complementary heads on fresh
+//! and patched arenas.
 
-use crate::program::{GroundProgram, GroundRule};
-use olp_core::{tarjan_scc_csr, AtomId, CompId, GLit, PredId, Sign, World};
+use crate::program::{render_rule, GroundProgram, GroundRule};
+use olp_core::{tarjan_scc_csr, AtomId, CompId, GLit, Interpretation, Order, PredId, Sign, World};
 
-/// Index of a rule within a [`FlatView`] (position in the flat,
-/// stratum-sorted rule order — **not** a `GroundProgram` index; see
-/// [`FlatView::global_index`]).
+/// Index of a rule within a [`FlatView`] (its position in the flat,
+/// stratum-sorted rule order — not a [`GroundProgram`] index).
 pub type FlatIdx = u32;
 
 /// Result of [`FlatView::apply_delta`].
@@ -45,7 +54,7 @@ pub enum FlatPatch {
     Patched(FlatView),
     /// The change alters the SCC condensation — or introduces a
     /// dependency the surviving stratum order cannot host — and the
-    /// caller must rebuild with [`FlatView::from_rules`].
+    /// caller must rebuild with [`FlatView::new`].
     Rebuild,
 }
 
@@ -74,30 +83,14 @@ pub struct FlatView {
     pub n_atoms: usize,
     /// Head literal per flat rule.
     heads: Vec<GLit>,
-    /// Component per flat rule (`C(r)`, for diagnostics).
+    /// Component per flat rule (`C(r)`).
     comps: Vec<CompId>,
     /// CSR offsets into `body` (length `n_rules + 1`).
     body_off: Vec<u32>,
     /// Concatenated rule bodies.
     body: Vec<GLit>,
-    /// CSR offsets into `watch`, indexed by literal code (length
-    /// `2 * n_atoms + 1`).
-    watch_off: Vec<u32>,
-    /// Flat rule indices watching each literal code (a rule appears
-    /// once per distinct body literal).
-    watch: Vec<u32>,
-    /// CSR: potential overrulers per rule (flat indices).
-    over_off: Vec<u32>,
-    over: Vec<u32>,
-    /// CSR: potential defeaters per rule (flat indices).
-    defeat_off: Vec<u32>,
-    defeat: Vec<u32>,
-    /// CSR: overruling victims per rule (transposed `over`).
-    vover_off: Vec<u32>,
-    vover: Vec<u32>,
-    /// CSR: defeating victims per rule (transposed `defeat`).
-    vdefeat_off: Vec<u32>,
-    vdefeat: Vec<u32>,
+    /// Watch, head and attack lists.
+    lists: Lists,
     /// Stratum boundaries in the flat rule order (length
     /// `n_strata + 1`): stratum `s` is rules
     /// `stratum_off[s]..stratum_off[s + 1]`.
@@ -109,290 +102,107 @@ pub struct FlatView {
     /// out-of-stratum body atoms of the stratum's rules).
     pred_off: Vec<u32>,
     preds: Vec<u32>,
-    /// Flat index → global rule index into `GroundProgram::rules`.
-    global: Vec<u32>,
 }
 
-impl FlatView {
-    /// Compiles the flat view of component `comp`.
-    pub fn new(gp: &GroundProgram, comp: CompId) -> Self {
-        Self::from_rules(gp, comp, gp.view(comp))
+/// The CSR lists a [`FlatView`] derives from its rules, built by one
+/// pass ([`Lists::build`]) for fresh and patched arenas alike.
+#[derive(Debug, Clone)]
+struct Lists {
+    /// Flat rules watching each literal code (a rule appears once per
+    /// distinct body literal), offsets of length `2 * n_atoms + 1`.
+    watch_off: Vec<u32>,
+    watch: Vec<u32>,
+    /// Flat rules by head literal code, in flat order.
+    head_off: Vec<u32>,
+    head: Vec<u32>,
+    /// Potential overrulers / defeaters per rule.
+    over_off: Vec<u32>,
+    over: Vec<u32>,
+    defeat_off: Vec<u32>,
+    defeat: Vec<u32>,
+    /// Overruling / defeating victims per rule (the transposes).
+    vover_off: Vec<u32>,
+    vover: Vec<u32>,
+    vdefeat_off: Vec<u32>,
+    vdefeat: Vec<u32>,
+}
+
+/// A CSR map from keys `0..n_keys` to `u32` values: the offsets
+/// (length `n_keys + 1`) and the values grouped by key, each group in
+/// the order `pairs` yields it. `counts` yields `(key, n)` for every
+/// key with `n` values (a key may repeat), `pairs` every `(key, value)`.
+fn csr(
+    n_keys: usize,
+    counts: impl Iterator<Item = (usize, u32)>,
+    pairs: impl Iterator<Item = (usize, u32)>,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n_keys + 1];
+    counts.for_each(|(k, n)| off[k + 1] += n);
+    for k in 0..n_keys {
+        off[k + 1] += off[k];
+    }
+    let mut vals = vec![0u32; off[n_keys] as usize];
+    let mut cur = off.clone();
+    pairs.for_each(|(k, v)| {
+        vals[cur[k] as usize] = v;
+        cur[k] += 1;
+    });
+    (off, vals)
+}
+
+#[inline]
+fn slice<'a>(off: &[u32], vals: &'a [u32], k: usize) -> &'a [u32] {
+    &vals[off[k] as usize..off[k + 1] as usize]
+}
+
+/// The rule columns of an arena under construction.
+struct Columns {
+    heads: Vec<GLit>,
+    comps: Vec<CompId>,
+    body_off: Vec<u32>,
+    body: Vec<GLit>,
+}
+
+impl Columns {
+    fn with_capacity(n: usize, body_lits: usize) -> Self {
+        let mut body_off = Vec::with_capacity(n + 1);
+        body_off.push(0);
+        Columns {
+            heads: Vec::with_capacity(n),
+            comps: Vec::with_capacity(n),
+            body_off,
+            body: Vec::with_capacity(body_lits),
+        }
     }
 
-    /// Compiles a flat view over an explicit rule subset (global
-    /// indices into `gp.rules`). Same closure requirement as the
-    /// interpretive view: a rule outside the subset neither fires nor
-    /// attacks.
-    pub fn from_rules(gp: &GroundProgram, comp: CompId, rules: &[u32]) -> Self {
-        let n = rules.len();
-        let n_atoms = gp.n_atoms;
+    fn push(&mut self, head: GLit, comp: CompId, body: &[GLit]) {
+        self.heads.push(head);
+        self.comps.push(comp);
+        self.body.extend_from_slice(body);
+        self.body_off.push(self.body.len() as u32);
+    }
 
-        // --- Stratification: SCCs of the head→body atom graph, built
-        // as CSR in two counting passes (no per-atom allocation, no
-        // sort — Tarjan tolerates duplicate edges).
-        let mut adj_off = vec![0u32; n_atoms + 1];
-        for &ri in rules {
-            let r = &gp.rules[ri as usize];
-            adj_off[r.head.atom().index() + 1] += r.body.len() as u32;
-        }
-        for v in 0..n_atoms {
-            adj_off[v + 1] += adj_off[v];
-        }
-        let mut adj_edges = vec![0u32; adj_off[n_atoms] as usize];
-        let mut cursor = adj_off.clone();
-        for &ri in rules {
-            let r = &gp.rules[ri as usize];
-            let h = r.head.atom().index();
-            for &b in &r.body {
-                adj_edges[cursor[h] as usize] = b.atom().index() as u32;
-                cursor[h] += 1;
-            }
-        }
-        let (scc_of, n_sccs) = tarjan_scc_csr(&adj_off, &adj_edges);
+    fn body(&self, f: usize) -> &[GLit] {
+        &self.body[self.body_off[f] as usize..self.body_off[f + 1] as usize]
+    }
 
-        // Dependency level per SCC. Tarjan numbers SCCs
-        // reverse-topologically (edges go to smaller ids), so one
-        // ascending pass over SCC ids sees every dependency's level
-        // final before it is read. The cross-SCC edge list is grouped
-        // by source via a counting sort (duplicates are harmless to a
-        // max-fold).
-        let mut se_off = vec![0u32; n_sccs + 2];
-        for &ri in rules {
-            let r = &gp.rules[ri as usize];
-            let s = scc_of[r.head.atom().index()];
-            for &b in &r.body {
-                let t = scc_of[b.atom().index()];
-                if t != s {
-                    debug_assert!(t < s, "Tarjan ids must be reverse-topological");
-                    se_off[s as usize + 1] += 1;
-                }
-            }
-        }
-        for s in 0..n_sccs.max(1) {
-            se_off[s + 1] += se_off[s];
-        }
-        let mut se_edges = vec![0u32; se_off[n_sccs.max(1)] as usize];
-        let mut se_cur = se_off.clone();
-        for &ri in rules {
-            let r = &gp.rules[ri as usize];
-            let s = scc_of[r.head.atom().index()];
-            for &b in &r.body {
-                let t = scc_of[b.atom().index()];
-                if t != s {
-                    se_edges[se_cur[s as usize] as usize] = t;
-                    se_cur[s as usize] += 1;
-                }
-            }
-        }
-        let mut scc_level = vec![0u32; n_sccs.max(1)];
-        for s in 0..n_sccs {
-            let mut lv = 0u32;
-            for &t in &se_edges[se_off[s] as usize..se_off[s + 1] as usize] {
-                lv = lv.max(scc_level[t as usize] + 1);
-            }
-            scc_level[s] = lv;
-        }
-
-        // --- Flat rule order: (level, SCC, global index). ------------
-        // (level, SCC) sorting is topological — any inter-stratum body
-        // dependency crosses to a strictly lower level — and makes both
-        // strata and levels contiguous rule ranges. Instead of a
-        // comparison sort over rules, rank the (few) SCCs by
-        // (level, id) and counting-sort the rules by rank; iterating
-        // `rules` in ascending global order makes the counting sort's
-        // stability reproduce the global-index tie-break.
-        let mut scc_rank = vec![0u32; n_sccs.max(1)];
-        {
-            let mut by_level: Vec<u32> = (0..n_sccs as u32).collect();
-            by_level.sort_unstable_by_key(|&s| (scc_level[s as usize], s));
-            for (rank, &s) in by_level.iter().enumerate() {
-                scc_rank[s as usize] = rank as u32;
-            }
-        }
-        let rules_asc: std::borrow::Cow<'_, [u32]> = if rules.windows(2).all(|w| w[0] <= w[1]) {
-            std::borrow::Cow::Borrowed(rules)
-        } else {
-            let mut v = rules.to_vec();
-            v.sort_unstable();
-            std::borrow::Cow::Owned(v)
-        };
-        let mut rank_cnt = vec![0u32; n_sccs + 2];
-        for &ri in rules_asc.iter() {
-            let s = scc_of[gp.rules[ri as usize].head.atom().index()];
-            rank_cnt[scc_rank[s as usize] as usize + 1] += 1;
-        }
-        for r in 0..n_sccs.max(1) {
-            rank_cnt[r + 1] += rank_cnt[r];
-        }
-        let mut order_ri = vec![0u32; n];
-        let mut rank_cur = rank_cnt;
-        for &ri in rules_asc.iter() {
-            let s = scc_of[gp.rules[ri as usize].head.atom().index()];
-            let r = scc_rank[s as usize] as usize;
-            order_ri[rank_cur[r] as usize] = ri;
-            rank_cur[r] += 1;
-        }
-
-        let mut heads = Vec::with_capacity(n);
-        let mut comps = Vec::with_capacity(n);
-        let mut global = Vec::with_capacity(n);
-        let mut body_off = Vec::with_capacity(n + 1);
-        let mut body = Vec::new();
-        let mut rule_scc = Vec::with_capacity(n);
-        body_off.push(0u32);
-        for &ri in &order_ri {
-            let r = &gp.rules[ri as usize];
-            heads.push(r.head);
-            comps.push(r.comp);
-            global.push(ri);
-            rule_scc.push(scc_of[r.head.atom().index()]);
-            body.extend_from_slice(&r.body);
-            body_off.push(body.len() as u32);
-        }
-
-        // Stratum and level boundaries over the sorted order.
-        let mut stratum_off: Vec<u32> = vec![0];
-        let mut stratum_scc: Vec<u32> = Vec::new();
-        let mut level_off: Vec<u32> = vec![0];
-        let mut stratum_level: Vec<u32> = Vec::new();
-        for f in 0..n {
-            let s = rule_scc[f];
-            if f == 0 || s != rule_scc[f - 1] {
-                if f != 0 {
-                    stratum_off.push(f as u32);
-                }
-                let lv = scc_level[s as usize];
-                if stratum_level.last() != Some(&lv) {
-                    if !stratum_level.is_empty() {
-                        level_off.push(stratum_scc.len() as u32);
-                    }
-                    stratum_level.push(lv);
-                }
-                stratum_scc.push(s);
-            }
-        }
-        stratum_off.push(n as u32);
-        level_off.push(stratum_scc.len() as u32);
-        if n == 0 {
-            stratum_off = vec![0, 0];
-            level_off = vec![0, 0];
-            stratum_scc = vec![0];
-        }
-
-        // SCC id → stratum index (only SCCs that own rules).
-        let n_strata = stratum_scc.len();
-        let mut stratum_of_scc = vec![u32::MAX; n_sccs.max(1)];
-        for (si, &s) in stratum_scc.iter().enumerate() {
-            stratum_of_scc[s as usize] = si as u32;
-        }
-
-        // --- Watch lists: CSR over literal codes (two passes). -------
-        let codes = 2 * n_atoms;
-        let mut watch_off = vec![0u32; codes + 1];
-        for &b in &body {
-            watch_off[b.code() + 1] += 1;
-        }
-        for c in 0..codes {
-            watch_off[c + 1] += watch_off[c];
-        }
-        let mut watch = vec![0u32; body.len()];
-        let mut cursor = watch_off.clone();
-        for f in 0..n {
-            for &b in &body[body_off[f] as usize..body_off[f + 1] as usize] {
-                let c = b.code();
-                watch[cursor[c] as usize] = f as u32;
-                cursor[c] += 1;
-            }
-        }
-
-        // --- Attack lists: head buckets + Order tests (two passes). --
-        // Rules bucketed by head literal code; attackers of rule `r`
-        // are the bucket of `H(r).complement()` filtered through the
-        // component order. Victims are the transpose.
-        let mut head_off = vec![0u32; codes + 1];
-        for &h in &heads {
-            head_off[h.code() + 1] += 1;
-        }
-        for c in 0..codes {
-            head_off[c + 1] += head_off[c];
-        }
-        let mut head_bucket = vec![0u32; n];
-        let mut cursor = head_off.clone();
-        for (f, &h) in heads.iter().enumerate() {
-            let c = h.code();
-            head_bucket[cursor[c] as usize] = f as u32;
-            cursor[c] += 1;
-        }
-
-        let mut over_off = vec![0u32; n + 1];
-        let mut defeat_off = vec![0u32; n + 1];
-        let mut vover_off = vec![0u32; n + 1];
-        let mut vdefeat_off = vec![0u32; n + 1];
-        let attackers = |f: usize| {
-            let c = heads[f].complement().code();
-            &head_bucket[head_off[c] as usize..head_off[c + 1] as usize]
-        };
-        for f in 0..n {
-            for &a in attackers(f) {
-                if gp.order.can_overrule(comps[a as usize], comps[f]) {
-                    over_off[f + 1] += 1;
-                    vover_off[a as usize + 1] += 1;
-                }
-                if gp.order.can_defeat(comps[a as usize], comps[f]) {
-                    defeat_off[f + 1] += 1;
-                    vdefeat_off[a as usize + 1] += 1;
-                }
-            }
-        }
-        for f in 0..n {
-            over_off[f + 1] += over_off[f];
-            defeat_off[f + 1] += defeat_off[f];
-            vover_off[f + 1] += vover_off[f];
-            vdefeat_off[f + 1] += vdefeat_off[f];
-        }
-        let mut over = vec![0u32; over_off[n] as usize];
-        let mut defeat = vec![0u32; defeat_off[n] as usize];
-        let mut vover = vec![0u32; vover_off[n] as usize];
-        let mut vdefeat = vec![0u32; vdefeat_off[n] as usize];
-        let mut co = over_off.clone();
-        let mut cd = defeat_off.clone();
-        let mut cvo = vover_off.clone();
-        let mut cvd = vdefeat_off.clone();
-        for f in 0..n {
-            for &a in attackers(f) {
-                if gp.order.can_overrule(comps[a as usize], comps[f]) {
-                    over[co[f] as usize] = a;
-                    co[f] += 1;
-                    vover[cvo[a as usize] as usize] = f as u32;
-                    cvo[a as usize] += 1;
-                }
-                if gp.order.can_defeat(comps[a as usize], comps[f]) {
-                    defeat[cd[f] as usize] = a;
-                    cd[f] += 1;
-                    vdefeat[cvd[a as usize] as usize] = f as u32;
-                    cvd[a as usize] += 1;
-                }
-            }
-        }
-
-        // --- Per-stratum dependency edges (for the morsel graph). ----
+    /// Distinct predecessor strata of every stratum, as CSR: the strata
+    /// owning out-of-stratum body atoms (`owner[atom]`, `u32::MAX` for
+    /// an atom no rule defines — it never derives, so it imposes no
+    /// scheduling dependency).
+    fn stratum_preds(&self, stratum_off: &[u32], owner: &[u32]) -> (Vec<u32>, Vec<u32>) {
+        let n_strata = stratum_off.len() - 1;
         let mut pred_off = vec![0u32; n_strata + 1];
         let mut preds: Vec<u32> = Vec::new();
         let mut scratch: Vec<u32> = Vec::new();
         for si in 0..n_strata {
             scratch.clear();
-            let (lo, hi) = (stratum_off[si] as usize, stratum_off[si + 1] as usize);
-            for f in lo..hi {
-                let s = rule_scc[f];
-                for &b in &body[body_off[f] as usize..body_off[f + 1] as usize] {
-                    let t = scc_of[b.atom().index()];
-                    if t != s {
-                        let ti = stratum_of_scc[t as usize];
-                        // Atoms with no defining rules never become
-                        // true; they impose no scheduling dependency.
-                        if ti != u32::MAX {
-                            scratch.push(ti);
-                        }
+            for f in stratum_off[si] as usize..stratum_off[si + 1] as usize {
+                for &b in self.body(f) {
+                    let ti = owner[b.atom().index()];
+                    if ti != u32::MAX && ti != si as u32 {
+                        debug_assert!(ti < si as u32, "strata must be topological");
+                        scratch.push(ti);
                     }
                 }
             }
@@ -401,16 +211,62 @@ impl FlatView {
             preds.extend_from_slice(&scratch);
             pred_off[si + 1] = preds.len() as u32;
         }
+        (pred_off, preds)
+    }
+}
 
-        FlatView {
-            comp,
-            n_atoms,
-            heads,
-            comps,
-            body_off,
-            body,
+impl Lists {
+    /// Watch lists and head buckets by literal code, and the attack
+    /// lists: the attackers of rule `f` are the rules headed by
+    /// `H(f).complement()`, filtered through the component order;
+    /// victims are the transposes.
+    fn build(order: &Order, n_atoms: usize, cols: &Columns) -> Lists {
+        let n = cols.heads.len();
+        let codes = 2 * n_atoms;
+        let (watch_off, watch) = csr(
+            codes,
+            cols.body.iter().map(|b| (b.code(), 1)),
+            (0..n).flat_map(|f| cols.body(f).iter().map(move |b| (b.code(), f as u32))),
+        );
+        let (head_off, head) = csr(
+            codes,
+            cols.heads.iter().map(|h| (h.code(), 1)),
+            (cols.heads.iter().enumerate()).map(|(f, h)| (h.code(), f as u32)),
+        );
+        // (victim, attacker) pairs in victim order, each victim's
+        // attackers in bucket order.
+        let (mut overrules, mut defeats) = (Vec::new(), Vec::new());
+        for (f, h) in cols.heads.iter().enumerate() {
+            for &a in slice(&head_off, &head, h.complement().code()) {
+                let (ca, cf) = (cols.comps[a as usize], cols.comps[f]);
+                if order.can_overrule(ca, cf) {
+                    overrules.push((f, a));
+                }
+                if order.can_defeat(ca, cf) {
+                    defeats.push((f, a));
+                }
+            }
+        }
+        let by_victim = |pairs: &[(usize, u32)]| {
+            csr(n, pairs.iter().map(|&(f, _)| (f, 1)), pairs.iter().copied())
+        };
+        let by_attacker = |pairs: &[(usize, u32)]| {
+            let flip = |&(f, a): &(usize, u32)| (a as usize, f as u32);
+            csr(
+                n,
+                pairs.iter().map(|p| (flip(p).0, 1)),
+                pairs.iter().map(flip),
+            )
+        };
+        let (over_off, over) = by_victim(&overrules);
+        let (defeat_off, defeat) = by_victim(&defeats);
+        let (vover_off, vover) = by_attacker(&overrules);
+        let (vdefeat_off, vdefeat) = by_attacker(&defeats);
+        Lists {
             watch_off,
             watch,
+            head_off,
+            head,
             over_off,
             over,
             defeat_off,
@@ -419,11 +275,118 @@ impl FlatView {
             vover,
             vdefeat_off,
             vdefeat,
+        }
+    }
+}
+
+impl FlatView {
+    /// Compiles the flat view of component `comp`.
+    pub fn new(gp: &GroundProgram, comp: CompId) -> Self {
+        let rules = gp.view(comp); // ascending: program order
+        let n = rules.len();
+        let n_atoms = gp.n_atoms;
+        let rule = |ri: u32| &gp.rules[ri as usize];
+
+        // --- Stratification: SCCs of the head→body atom graph (Tarjan
+        // tolerates duplicate edges).
+        let head_atom = |ri: u32| rule(ri).head.atom().index();
+        let (adj_off, adj) = csr(
+            n_atoms,
+            rules
+                .iter()
+                .map(|&ri| (head_atom(ri), rule(ri).body.len() as u32)),
+            rules
+                .iter()
+                .flat_map(|&ri| (rule(ri).body.iter()).map(move |b| (head_atom(ri), b.atom().0))),
+        );
+        let (scc_of, n_sccs) = tarjan_scc_csr(&adj_off, &adj);
+        let scc_of_lit = |l: GLit| scc_of[l.atom().index()];
+
+        // Dependency level per SCC. Tarjan numbers SCCs
+        // reverse-topologically (edges go to smaller ids), so one
+        // ascending pass over SCC ids sees every dependency's level
+        // final before it is read.
+        let cross = || {
+            rules.iter().flat_map(|&ri| {
+                let s = scc_of_lit(rule(ri).head);
+                (rule(ri).body.iter())
+                    .map(move |&b| scc_of_lit(b))
+                    .filter(move |&t| t != s)
+                    .map(move |t| (s as usize, t))
+            })
+        };
+        let (se_off, se) = csr(n_sccs, cross().map(|(s, _)| (s, 1)), cross());
+        let mut scc_level = vec![0u32; n_sccs];
+        for s in 0..n_sccs {
+            for &t in slice(&se_off, &se, s) {
+                debug_assert!((t as usize) < s, "Tarjan ids must be reverse-topological");
+                scc_level[s] = scc_level[s].max(scc_level[t as usize] + 1);
+            }
+        }
+
+        // --- Flat rule order: (level, SCC), program order within. ---
+        // (level, SCC) sorting is topological — any inter-stratum body
+        // dependency crosses to a strictly lower level — and makes both
+        // strata and levels contiguous rule ranges. Rank the (few) SCCs
+        // by (level, id) and bucket the rules by rank; the buckets keep
+        // the rules' program order.
+        let mut by_level: Vec<u32> = (0..n_sccs as u32).collect();
+        by_level.sort_unstable_by_key(|&s| (scc_level[s as usize], s));
+        let mut scc_rank = vec![0u32; n_sccs];
+        for (rank, &s) in by_level.iter().enumerate() {
+            scc_rank[s as usize] = rank as u32;
+        }
+        let rank = |ri: u32| scc_rank[scc_of_lit(rule(ri).head) as usize] as usize;
+        let (_, order) = csr(
+            n_sccs,
+            rules.iter().map(|&ri| (rank(ri), 1)),
+            rules.iter().map(|&ri| (rank(ri), ri)),
+        );
+
+        let mut cols = Columns::with_capacity(n, adj.len());
+        for &ri in &order {
+            let r = rule(ri);
+            cols.push(r.head, r.comp, &r.body);
+        }
+
+        // Stratum and level boundaries over the sorted order.
+        let mut stratum_off: Vec<u32> = vec![0];
+        let mut level_off: Vec<u32> = vec![0];
+        let mut stratum_of_scc = vec![u32::MAX; n_sccs];
+        let mut last: Option<(u32, u32)> = None; // (scc, level)
+        for (f, &h) in cols.heads.iter().enumerate() {
+            let s = scc_of_lit(h);
+            let lv = scc_level[s as usize];
+            if last.is_some_and(|(ls, _)| ls == s) {
+                continue;
+            }
+            if let Some((_, llv)) = last {
+                stratum_off.push(f as u32);
+                if llv != lv {
+                    level_off.push(stratum_off.len() as u32 - 1);
+                }
+            }
+            stratum_of_scc[s as usize] = stratum_off.len() as u32 - 1;
+            last = Some((s, lv));
+        }
+        stratum_off.push(n as u32);
+        level_off.push(stratum_off.len() as u32 - 1);
+        let owner: Vec<u32> = scc_of.iter().map(|&s| stratum_of_scc[s as usize]).collect();
+
+        let lists = Lists::build(&gp.order, n_atoms, &cols);
+        let (pred_off, preds) = cols.stratum_preds(&stratum_off, &owner);
+        FlatView {
+            comp,
+            n_atoms,
+            heads: cols.heads,
+            comps: cols.comps,
+            body_off: cols.body_off,
+            body: cols.body,
+            lists,
             stratum_off,
             level_off,
             pred_off,
             preds,
-            global,
         }
     }
 
@@ -431,10 +394,7 @@ impl FlatView {
     /// body, comp)` is unique within a view because [`GroundProgram`]
     /// deduplicates instances. One pass over the arena; `None` if any
     /// rule is absent. The removal half of [`FlatView::apply_delta`]
-    /// is addressed this way because a patched view's
-    /// [`FlatView::global_index`] entries may be stale (they refer to
-    /// the program the view was last *built* from, not the one it was
-    /// patched to match).
+    /// is addressed this way.
     pub fn locate(&self, rules: &[&GroundRule]) -> Option<Vec<u32>> {
         let mut out = vec![u32::MAX; rules.len()];
         let mut missing = rules.len();
@@ -479,16 +439,16 @@ impl FlatView {
     /// freshly defined atom, or a change to the SCC condensation —
     /// the honest answer is [`FlatPatch::Rebuild`].
     ///
-    /// A patched view evaluates identically to a
-    /// [`FlatView::from_rules`] rebuild: its stratum order is
-    /// topological (body dependencies never point forward), rules
-    /// sharing a head atom share a stratum (the worklist's attacker
-    /// bookkeeping relies on this), and watch/attack arenas are
-    /// recomputed from the patched rule set. It may be *coarser* —
-    /// removals can leave mergeable strata apart, and spliced rules
-    /// may add same-level cross-stratum edges — which the morsel
-    /// scheduler tolerates because it keys on [`FlatView::stratum_preds`],
-    /// not on levels. Only [`FlatView::global_index`] goes stale.
+    /// A patched view answers exactly like a [`FlatView::new`] rebuild:
+    /// its stratum order is topological (body dependencies never point
+    /// forward), rules sharing a head atom share a stratum (the
+    /// worklist's attacker bookkeeping relies on this), spliced rules
+    /// take their program-order place within their stratum, and the
+    /// watch, head and attack lists are recomputed from the patched
+    /// rule set. It may be *coarser* — removals can leave mergeable
+    /// strata apart, and spliced rules may add same-level cross-stratum
+    /// edges — which the morsel scheduler tolerates because it keys on
+    /// [`FlatView::stratum_preds`], not on levels.
     pub fn apply_delta(&self, gp: &GroundProgram, added: &[u32], removed: &[u32]) -> FlatPatch {
         let n_old = self.len();
         if n_old == 0 {
@@ -512,12 +472,12 @@ impl FlatView {
 
         // --- Stratum owning each still-defined atom. -------------
         let n_strata_old = self.n_strata();
-        let mut stratum_of_atom = vec![u32::MAX; n_atoms];
+        let mut owner = vec![u32::MAX; n_atoms];
         for s in 0..n_strata_old {
             let (lo, hi) = self.stratum(s);
             for f in lo..hi {
                 if !dead[f as usize] {
-                    stratum_of_atom[self.heads[f as usize].atom().index()] = s as u32;
+                    owner[self.heads[f as usize].atom().index()] = s as u32;
                 }
             }
         }
@@ -533,7 +493,7 @@ impl FlatView {
                 return FlatPatch::Rebuild; // malformed request
             };
             let h = r.head.atom().index();
-            if stratum_of_atom[h] == u32::MAX && tail_slot[h] == u32::MAX {
+            if owner[h] == u32::MAX && tail_slot[h] == u32::MAX {
                 tail_slot[h] = tail_atoms.len() as u32;
                 tail_atoms.push(h as u32);
             }
@@ -541,28 +501,25 @@ impl FlatView {
         // A surviving rule watching a freshly defined atom would have
         // to run after the tail; the surviving order cannot host that.
         for &a in &tail_atoms {
-            if (a as usize) < self.n_atoms {
-                let atom = AtomId(a);
-                for l in [GLit::pos(atom), GLit::neg(atom)] {
-                    if self.watchers(l).iter().any(|&w| !dead[w as usize]) {
-                        return FlatPatch::Rebuild;
-                    }
+            for l in [GLit::pos(AtomId(a)), GLit::neg(AtomId(a))] {
+                if self.watchers(l).iter().any(|&w| !dead[w as usize]) {
+                    return FlatPatch::Rebuild;
                 }
             }
         }
         let mut into_stratum: Vec<Vec<u32>> = vec![Vec::new(); n_strata_old];
         let mut tail_rules: Vec<Vec<u32>> = vec![Vec::new(); tail_atoms.len()];
-        let mut tail_edges: Vec<(u32, u32)> = Vec::new();
+        let mut tail_edges: Vec<(usize, u32)> = Vec::new();
         for &ri in added {
             let r = &gp.rules[ri as usize];
             let h = r.head.atom().index();
-            let hs = stratum_of_atom[h];
+            let hs = owner[h];
             if hs == u32::MAX {
                 let slot = tail_slot[h];
                 for &b in &r.body {
                     let ba = b.atom().index();
                     if tail_slot[ba] != u32::MAX && ba != h {
-                        tail_edges.push((slot, tail_slot[ba]));
+                        tail_edges.push((slot as usize, tail_slot[ba]));
                     }
                 }
                 tail_rules[slot as usize].push(ri);
@@ -572,7 +529,7 @@ impl FlatView {
                     if tail_slot[ba] != u32::MAX {
                         return FlatPatch::Rebuild; // depends on a later stratum
                     }
-                    let bs = stratum_of_atom[ba];
+                    let bs = owner[ba];
                     if bs != u32::MAX && bs > hs {
                         return FlatPatch::Rebuild; // back edge: condensation changed
                     }
@@ -587,225 +544,80 @@ impl FlatView {
         // (tiny) fresh-atom graph only. Ascending ids are
         // reverse-topological — dependencies first — exactly the
         // order the tail strata are appended in. -------------------
-        let n_tail = tail_atoms.len();
-        let (tail_scc_of, n_tail_sccs) = if n_tail == 0 {
-            (Vec::new(), 0)
-        } else {
-            let mut off = vec![0u32; n_tail + 1];
-            for &(h, _) in &tail_edges {
-                off[h as usize + 1] += 1;
-            }
-            for v in 0..n_tail {
-                off[v + 1] += off[v];
-            }
-            let mut edges = vec![0u32; tail_edges.len()];
-            let mut cur = off.clone();
-            for &(h, b) in &tail_edges {
-                edges[cur[h as usize] as usize] = b;
-                cur[h as usize] += 1;
-            }
-            tarjan_scc_csr(&off, &edges)
-        };
+        let (off, edges) = csr(
+            tail_atoms.len(),
+            tail_edges.iter().map(|&(h, _)| (h, 1)),
+            tail_edges.iter().copied(),
+        );
+        let (tail_scc_of, n_tail_sccs) = tarjan_scc_csr(&off, &edges);
         let mut tail_strata: Vec<Vec<u32>> = vec![Vec::new(); n_tail_sccs];
         for (slot, rules) in tail_rules.iter().enumerate() {
             tail_strata[tail_scc_of[slot] as usize].extend_from_slice(rules);
         }
-        for s in &mut tail_strata {
-            s.sort_unstable(); // deterministic within the stratum
-        }
 
-        // --- Rule arenas in the patched order: surviving strata
-        // keep their slots (spliced rules at the end of their
-        // stratum), tail strata follow. ---------------------------
+        // --- Rule arenas in the patched order: surviving strata keep
+        // their slots, each merging its survivors with its spliced
+        // rules in program order; tail strata follow. ---------------
         let n_new = n_old - removed.len() + added.len();
-        let n_strata_new = n_strata_old + n_tail_sccs;
-        let mut heads: Vec<GLit> = Vec::with_capacity(n_new);
-        let mut comps: Vec<CompId> = Vec::with_capacity(n_new);
-        let mut global: Vec<u32> = Vec::with_capacity(n_new);
-        let mut body_off: Vec<u32> = Vec::with_capacity(n_new + 1);
-        let mut body: Vec<GLit> = Vec::with_capacity(self.body.len());
-        let mut stratum_off: Vec<u32> = Vec::with_capacity(n_strata_new + 1);
-        body_off.push(0);
+        let mut cols = Columns::with_capacity(n_new, self.body.len());
+        let mut stratum_off: Vec<u32> = Vec::with_capacity(n_strata_old + n_tail_sccs + 1);
         stratum_off.push(0);
-        for (s, spliced) in into_stratum.iter().enumerate() {
+        for (s, spliced) in into_stratum.iter_mut().enumerate() {
+            spliced.sort_unstable(); // ascending indices: program order
+            let mut spliced = spliced.iter().map(|&ri| &gp.rules[ri as usize]).peekable();
             let (lo, hi) = self.stratum(s);
-            for f in lo..hi {
-                if dead[f as usize] {
-                    continue;
+            for f in (lo..hi).filter(|&f| !dead[f as usize]) {
+                while let Some(r) =
+                    spliced.next_if(|r| (r.comp, r.head, &r.body[..]) < self.rule_key(f))
+                {
+                    cols.push(r.head, r.comp, &r.body);
                 }
-                heads.push(self.heads[f as usize]);
-                comps.push(self.comps[f as usize]);
-                // Stale on patched views — see `global_index`.
-                global.push(self.global[f as usize]);
-                body.extend_from_slice(self.body(f));
-                body_off.push(body.len() as u32);
+                cols.push(self.head(f), self.rule_comp(f), self.body(f));
             }
-            for &ri in spliced {
-                let r = &gp.rules[ri as usize];
-                heads.push(r.head);
-                comps.push(r.comp);
-                global.push(ri);
-                body.extend_from_slice(&r.body);
-                body_off.push(body.len() as u32);
+            for r in spliced {
+                cols.push(r.head, r.comp, &r.body);
             }
-            stratum_off.push(heads.len() as u32);
+            stratum_off.push(cols.heads.len() as u32);
         }
-        for rules in &tail_strata {
-            for &ri in rules {
+        for rules in &mut tail_strata {
+            rules.sort_unstable();
+            for &ri in rules.iter() {
                 let r = &gp.rules[ri as usize];
-                heads.push(r.head);
-                comps.push(r.comp);
-                global.push(ri);
-                body.extend_from_slice(&r.body);
-                body_off.push(body.len() as u32);
+                cols.push(r.head, r.comp, &r.body);
             }
-            stratum_off.push(heads.len() as u32);
+            stratum_off.push(cols.heads.len() as u32);
         }
-        debug_assert_eq!(heads.len(), n_new);
+        debug_assert_eq!(cols.heads.len(), n_new);
         let mut level_off = self.level_off.clone();
         if n_tail_sccs > 0 {
             // All tail strata share one appended level; ordering
             // among them is carried by `stratum_preds`, which is what
             // the morsel scheduler keys on.
-            level_off.push(n_strata_new as u32);
+            level_off.push(stratum_off.len() as u32 - 1);
         }
 
-        // --- Watch lists, head buckets, attack lists: recomputed
-        // from the patched rule set by the same counting passes as
-        // `from_rules` (linear; the expensive global stratification
-        // is what the splice avoided). ----------------------------
-        let codes = 2 * n_atoms;
-        let mut watch_off = vec![0u32; codes + 1];
-        for &b in &body {
-            watch_off[b.code() + 1] += 1;
-        }
-        for c in 0..codes {
-            watch_off[c + 1] += watch_off[c];
-        }
-        let mut watch = vec![0u32; body.len()];
-        let mut cursor = watch_off.clone();
-        for f in 0..n_new {
-            for &b in &body[body_off[f] as usize..body_off[f + 1] as usize] {
-                let c = b.code();
-                watch[cursor[c] as usize] = f as u32;
-                cursor[c] += 1;
-            }
-        }
-
-        let mut head_off = vec![0u32; codes + 1];
-        for &h in &heads {
-            head_off[h.code() + 1] += 1;
-        }
-        for c in 0..codes {
-            head_off[c + 1] += head_off[c];
-        }
-        let mut head_bucket = vec![0u32; n_new];
-        let mut cursor = head_off.clone();
-        for (f, &h) in heads.iter().enumerate() {
-            let c = h.code();
-            head_bucket[cursor[c] as usize] = f as u32;
-            cursor[c] += 1;
-        }
-
-        let mut over_off = vec![0u32; n_new + 1];
-        let mut defeat_off = vec![0u32; n_new + 1];
-        let mut vover_off = vec![0u32; n_new + 1];
-        let mut vdefeat_off = vec![0u32; n_new + 1];
-        let attackers = |f: usize| {
-            let c = heads[f].complement().code();
-            &head_bucket[head_off[c] as usize..head_off[c + 1] as usize]
-        };
-        for f in 0..n_new {
-            for &a in attackers(f) {
-                if gp.order.can_overrule(comps[a as usize], comps[f]) {
-                    over_off[f + 1] += 1;
-                    vover_off[a as usize + 1] += 1;
-                }
-                if gp.order.can_defeat(comps[a as usize], comps[f]) {
-                    defeat_off[f + 1] += 1;
-                    vdefeat_off[a as usize + 1] += 1;
-                }
-            }
-        }
-        for f in 0..n_new {
-            over_off[f + 1] += over_off[f];
-            defeat_off[f + 1] += defeat_off[f];
-            vover_off[f + 1] += vover_off[f];
-            vdefeat_off[f + 1] += vdefeat_off[f];
-        }
-        let mut over = vec![0u32; over_off[n_new] as usize];
-        let mut defeat = vec![0u32; defeat_off[n_new] as usize];
-        let mut vover = vec![0u32; vover_off[n_new] as usize];
-        let mut vdefeat = vec![0u32; vdefeat_off[n_new] as usize];
-        let mut co = over_off.clone();
-        let mut cd = defeat_off.clone();
-        let mut cvo = vover_off.clone();
-        let mut cvd = vdefeat_off.clone();
-        for f in 0..n_new {
-            for &a in attackers(f) {
-                if gp.order.can_overrule(comps[a as usize], comps[f]) {
-                    over[co[f] as usize] = a;
-                    co[f] += 1;
-                    vover[cvo[a as usize] as usize] = f as u32;
-                    cvo[a as usize] += 1;
-                }
-                if gp.order.can_defeat(comps[a as usize], comps[f]) {
-                    defeat[cd[f] as usize] = a;
-                    cd[f] += 1;
-                    vdefeat[cvd[a as usize] as usize] = f as u32;
-                    cvd[a as usize] += 1;
-                }
-            }
-        }
-
-        // --- Stratum dependency edges over the patched ownership
-        // map (tail atoms now owned by their appended strata). -----
+        // --- Watch, head and attack lists from the patched rule set
+        // (linear; the expensive global stratification is what the
+        // splice avoided), and the stratum dependency edges over the
+        // patched ownership map (tail atoms now owned by their
+        // appended strata). ----------------------------------------
         for (slot, &a) in tail_atoms.iter().enumerate() {
-            stratum_of_atom[a as usize] = (n_strata_old + tail_scc_of[slot] as usize) as u32;
+            owner[a as usize] = (n_strata_old + tail_scc_of[slot] as usize) as u32;
         }
-        let mut pred_off = vec![0u32; n_strata_new + 1];
-        let mut preds: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        for si in 0..n_strata_new {
-            scratch.clear();
-            let (lo, hi) = (stratum_off[si] as usize, stratum_off[si + 1] as usize);
-            for f in lo..hi {
-                for &b in &body[body_off[f] as usize..body_off[f + 1] as usize] {
-                    let ti = stratum_of_atom[b.atom().index()];
-                    if ti != u32::MAX && ti != si as u32 {
-                        debug_assert!(ti < si as u32, "patched strata must stay topological");
-                        scratch.push(ti);
-                    }
-                }
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            preds.extend_from_slice(&scratch);
-            pred_off[si + 1] = preds.len() as u32;
-        }
-
+        let lists = Lists::build(&gp.order, n_atoms, &cols);
+        let (pred_off, preds) = cols.stratum_preds(&stratum_off, &owner);
         FlatPatch::Patched(FlatView {
             comp: self.comp,
             n_atoms,
-            heads,
-            comps,
-            body_off,
-            body,
-            watch_off,
-            watch,
-            over_off,
-            over,
-            defeat_off,
-            defeat,
-            vover_off,
-            vover,
-            vdefeat_off,
-            vdefeat,
+            heads: cols.heads,
+            comps: cols.comps,
+            body_off: cols.body_off,
+            body: cols.body,
+            lists,
             stratum_off,
             level_off,
             pred_off,
             preds,
-            global,
         })
     }
 
@@ -827,56 +639,160 @@ impl FlatView {
         self.heads[f as usize]
     }
 
-    /// Source component of flat rule `f`.
+    /// Source component of flat rule `f` (`C(r)`).
     #[inline]
     pub fn rule_comp(&self, f: FlatIdx) -> CompId {
         self.comps[f as usize]
     }
 
-    /// Body literals of flat rule `f`.
+    /// Body literals of flat rule `f`, sorted.
     #[inline]
     pub fn body(&self, f: FlatIdx) -> &[GLit] {
         let f = f as usize;
         &self.body[self.body_off[f] as usize..self.body_off[f + 1] as usize]
     }
 
+    /// The program-order key of flat rule `f`: [`GroundProgram`] sorts
+    /// its rules by `(comp, head, body)`.
+    #[inline]
+    pub fn rule_key(&self, f: FlatIdx) -> (CompId, GLit, &[GLit]) {
+        (self.rule_comp(f), self.head(f), self.body(f))
+    }
+
+    /// Renders flat rule `f` as [`GroundProgram::rule_str`] does.
+    pub fn rule_str(&self, world: &World, f: FlatIdx) -> String {
+        render_rule(world, self.head(f), self.body(f), self.rule_comp(f))
+    }
+
+    /// The slice of a literal-indexed CSR list for `l`; empty for a
+    /// literal over an atom the arena does not cover.
+    #[inline]
+    fn by_lit<'a>(&self, off: &[u32], vals: &'a [u32], l: GLit) -> &'a [u32] {
+        if l.atom().index() < self.n_atoms {
+            slice(off, vals, l.code())
+        } else {
+            &[]
+        }
+    }
+
     /// Flat rules with literal `l` in the body.
     #[inline]
-    pub fn watchers(&self, l: GLit) -> &[u32] {
-        let c = l.code();
-        &self.watch[self.watch_off[c] as usize..self.watch_off[c + 1] as usize]
+    pub fn watchers(&self, l: GLit) -> &[FlatIdx] {
+        self.by_lit(&self.lists.watch_off, &self.lists.watch, l)
     }
 
-    /// Potential overrulers of flat rule `f`.
+    /// Flat rules with head literal `h`, in program order.
     #[inline]
-    pub fn overrulers(&self, f: FlatIdx) -> &[u32] {
-        let f = f as usize;
-        &self.over[self.over_off[f] as usize..self.over_off[f + 1] as usize]
+    pub fn rules_with_head(&self, h: GLit) -> &[FlatIdx] {
+        self.by_lit(&self.lists.head_off, &self.lists.head, h)
     }
 
-    /// Potential defeaters of flat rule `f`.
+    /// Potential overrulers of flat rule `f`: the rules with the
+    /// complementary head in a strictly lower component, in program
+    /// order.
     #[inline]
-    pub fn defeaters(&self, f: FlatIdx) -> &[u32] {
-        let f = f as usize;
-        &self.defeat[self.defeat_off[f] as usize..self.defeat_off[f + 1] as usize]
+    pub fn overrulers(&self, f: FlatIdx) -> &[FlatIdx] {
+        slice(&self.lists.over_off, &self.lists.over, f as usize)
+    }
+
+    /// Potential defeaters of flat rule `f`: the rules with the
+    /// complementary head in the same or an incomparable component, in
+    /// program order.
+    #[inline]
+    pub fn defeaters(&self, f: FlatIdx) -> &[FlatIdx] {
+        slice(&self.lists.defeat_off, &self.lists.defeat, f as usize)
     }
 
     /// Rules that flat rule `f` can overrule.
     #[inline]
-    pub fn victims_overrule(&self, f: FlatIdx) -> &[u32] {
-        let f = f as usize;
-        &self.vover[self.vover_off[f] as usize..self.vover_off[f + 1] as usize]
+    pub fn victims_overrule(&self, f: FlatIdx) -> &[FlatIdx] {
+        slice(&self.lists.vover_off, &self.lists.vover, f as usize)
     }
 
     /// Rules that flat rule `f` can defeat.
     #[inline]
-    pub fn victims_defeat(&self, f: FlatIdx) -> &[u32] {
-        let f = f as usize;
-        &self.vdefeat[self.vdefeat_off[f] as usize..self.vdefeat_off[f + 1] as usize]
+    pub fn victims_defeat(&self, f: FlatIdx) -> &[FlatIdx] {
+        slice(&self.lists.vdefeat_off, &self.lists.vdefeat, f as usize)
+    }
+
+    /// Potential overruling edges (attacker strictly below victim).
+    pub fn overrule_edges(&self) -> usize {
+        self.lists.over.len()
+    }
+
+    /// Potential defeating edges (same or incomparable components).
+    pub fn defeat_edges(&self) -> usize {
+        self.lists.defeat.len()
+    }
+
+    /// Mutual-defeat pairs: `(head literal, rule, contradictor)` where
+    /// each rule is a potential defeater of the other — the situations
+    /// that leave atoms undefined under unresolved conflict (Fig. 2).
+    /// A KB lint: every pair is a place where the hierarchy fails to
+    /// rank two contradictory opinions. Each unordered pair is reported
+    /// once, keyed by the positive head, sorted by head and then by the
+    /// two rules' program order.
+    pub fn mutual_defeats(&self) -> Vec<(GLit, FlatIdx, FlatIdx)> {
+        // Defeat is symmetric (equal/incomparable components both ways,
+        // complementary heads both ways), so iterating from the
+        // positive-headed side visits every pair exactly once; head
+        // buckets and defeater lists are in program order.
+        let mut out = Vec::new();
+        for a in 0..self.n_atoms as u32 {
+            let h = GLit::pos(AtomId(a));
+            for &f in self.rules_with_head(h) {
+                for &d in self.defeaters(f) {
+                    debug_assert!(self.defeaters(d).contains(&f), "defeat is symmetric");
+                    out.push((h, f, d));
+                }
+            }
+        }
+        out
+    }
+
+    // ---- Definition 2 statuses --------------------------------------
+
+    /// `B(r) ⊆ I`.
+    pub fn applicable(&self, f: FlatIdx, i: &Interpretation) -> bool {
+        self.body(f).iter().all(|&b| i.holds(b))
+    }
+
+    /// Applicable and `H(r) ∈ I`.
+    pub fn applied(&self, f: FlatIdx, i: &Interpretation) -> bool {
+        i.holds(self.head(f)) && self.applicable(f, i)
+    }
+
+    /// Some body literal's complement is in `I`.
+    pub fn blocked(&self, f: FlatIdx, i: &Interpretation) -> bool {
+        self.body(f).iter().any(|&b| i.holds(b.complement()))
+    }
+
+    /// Some non-blocked rule in a strictly lower component has the
+    /// complementary head.
+    pub fn overruled(&self, f: FlatIdx, i: &Interpretation) -> bool {
+        self.overrulers(f).iter().any(|&a| !self.blocked(a, i))
+    }
+
+    /// Some non-blocked rule in the same or an incomparable component
+    /// has the complementary head.
+    pub fn defeated(&self, f: FlatIdx, i: &Interpretation) -> bool {
+        self.defeaters(f).iter().any(|&a| !self.blocked(a, i))
+    }
+
+    /// Def. 3(a)'s stronger overruling: overruled by an **applied**
+    /// rule.
+    pub fn overruled_by_applied(&self, f: FlatIdx, i: &Interpretation) -> bool {
+        self.overrulers(f).iter().any(|&a| self.applied(a, i))
+    }
+
+    /// Applicable and neither overruled nor defeated: the rule fires in
+    /// `V_{P,C}(I)` (Definition 4).
+    pub fn fires(&self, f: FlatIdx, i: &Interpretation) -> bool {
+        self.applicable(f, i) && !self.overruled(f, i) && !self.defeated(f, i)
     }
 
     /// Number of strata (contiguous rule ranges; all non-empty unless
-    /// the view itself is empty).
+    /// the view itself is empty or was patched).
     #[inline]
     pub fn n_strata(&self) -> usize {
         self.stratum_off.len() - 1
@@ -904,19 +820,7 @@ impl FlatView {
     /// out-of-stratum body atoms of its rules).
     #[inline]
     pub fn stratum_preds(&self, s: usize) -> &[u32] {
-        &self.preds[self.pred_off[s] as usize..self.pred_off[s + 1] as usize]
-    }
-
-    /// Global index (into [`GroundProgram::rules`]) of flat rule `f`.
-    ///
-    /// Diagnostic only: on a view produced by [`FlatView::apply_delta`]
-    /// the entries of *retained* rules still refer to the program the
-    /// view was last **built** from — splicing does not remap them
-    /// (evaluation never reads them; content lookups go through
-    /// [`FlatView::locate`]).
-    #[inline]
-    pub fn global_index(&self, f: FlatIdx) -> u32 {
-        self.global[f as usize]
+        slice(&self.pred_off, &self.preds, s)
     }
 
     /// Evaluation weight of stratum `s`: rules plus body and attack
@@ -925,10 +829,11 @@ impl FlatView {
     pub fn stratum_weight(&self, s: usize) -> u64 {
         let (lo, hi) = self.stratum(s);
         let (lo, hi) = (lo as usize, hi as usize);
+        let l = &self.lists;
         let rules = (hi - lo) as u64;
         let bodies = u64::from(self.body_off[hi] - self.body_off[lo]);
-        let attacks = u64::from(self.over_off[hi] - self.over_off[lo])
-            + u64::from(self.defeat_off[hi] - self.defeat_off[lo]);
+        let attacks = u64::from(l.over_off[hi] - l.over_off[lo])
+            + u64::from(l.defeat_off[hi] - l.defeat_off[lo]);
         rules + bodies + attacks
     }
 
@@ -1116,6 +1021,7 @@ mod tests {
         let gp = chain();
         let fv = FlatView::new(&gp, CompId(0));
         assert_eq!(fv.len(), 4);
+        check_well_formed(&fv, &gp);
         // Every body atom's defining stratum precedes (or equals) the
         // head's stratum in flat order.
         for s in 0..fv.n_strata() {
@@ -1131,14 +1037,6 @@ mod tests {
                 assert!((p as usize) < s, "predecessor stratum not earlier");
             }
         }
-        // Levels tile the strata.
-        let mut strata_seen = 0;
-        for l in 0..fv.n_levels() {
-            let (lo, hi) = fv.level(l);
-            assert_eq!(lo, strata_seen);
-            strata_seen = hi;
-        }
-        assert_eq!(strata_seen as usize, fv.n_strata());
     }
 
     #[test]
@@ -1152,7 +1050,7 @@ mod tests {
         }
         // Total watch entries == total body literals.
         let total: usize = (0..fv.len() as u32).map(|f| fv.body(f).len()).sum();
-        assert_eq!(fv.watch.len(), total);
+        assert_eq!(fv.lists.watch.len(), total);
     }
 
     #[test]
@@ -1164,11 +1062,22 @@ mod tests {
         ];
         let gp = GroundProgram::new(rules, order1(), 1);
         let fv = FlatView::new(&gp, CompId(0));
+        check_well_formed(&fv, &gp);
         for f in 0..2u32 {
             assert_eq!(fv.overrulers(f).len(), 0);
             assert_eq!(fv.defeaters(f).len(), 1);
             assert_eq!(fv.victims_defeat(f).len(), 1);
             assert_ne!(fv.defeaters(f)[0], f);
+        }
+    }
+
+    #[test]
+    fn lookups_past_the_atom_universe_are_empty() {
+        // An atom interned after the arena was built has no rules.
+        let fv = FlatView::new(&chain(), CompId(0));
+        for l in [GLit::pos(AtomId(4)), GLit::neg(AtomId(99))] {
+            assert!(fv.rules_with_head(l).is_empty());
+            assert!(fv.watchers(l).is_empty());
         }
     }
 
@@ -1197,14 +1106,17 @@ mod tests {
         assert_eq!(fv.n_strata(), 1);
         assert_eq!(fv.stratum(0), (0, 0));
         assert!(fv.morsels(8).is_empty());
+        check_well_formed(&fv, &gp);
     }
 
     /// Structural invariants every view — built or patched — must
     /// hold: strata tile the rules, levels tile the strata, rules
-    /// sharing a head atom share a stratum, body dependencies never
-    /// point forward, `stratum_preds` is exact, watch lists agree
-    /// with bodies, and attack lists match a direct recomputation
-    /// with exact victim transposes.
+    /// sharing a head atom share a stratum and keep program order
+    /// within it, body dependencies never point forward,
+    /// `stratum_preds` is exact, watch lists and head buckets agree
+    /// with the rules, and the attack lists equal a brute-force
+    /// recomputation of Definition 2 from complementary heads and the
+    /// component order, with exact victim transposes.
     fn check_well_formed(fv: &FlatView, gp: &GroundProgram) {
         let n = fv.len() as u32;
         let mut prev = 0u32;
@@ -1212,6 +1124,12 @@ mod tests {
             let (lo, hi) = fv.stratum(s);
             assert_eq!(lo, prev, "strata must tile the rules");
             assert!(hi >= lo);
+            for f in lo + 1..hi {
+                assert!(
+                    fv.rule_key(f - 1) < fv.rule_key(f),
+                    "rules of a stratum must keep program order"
+                );
+            }
             prev = hi;
         }
         assert_eq!(prev, n);
@@ -1259,6 +1177,20 @@ mod tests {
             .map(|c| fv.watchers(GLit::from_code(c)).len())
             .sum();
         assert_eq!(all_watch, total);
+        // Rules by head, and attackers by the order: in program order.
+        let in_program_order = |got: &[u32]| {
+            got.windows(2)
+                .all(|w| fv.rule_key(w[0]) < fv.rule_key(w[1]))
+        };
+        for c in 0..2 * fv.n_atoms {
+            let h = GLit::from_code(c);
+            let mut want: Vec<u32> = (0..n).filter(|&f| fv.head(f) == h).collect();
+            let mut got = fv.rules_with_head(h).to_vec();
+            assert!(in_program_order(&got), "rules with head {c}");
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "rules with head {c}");
+        }
         for f in 0..n {
             let hc = fv.head(f).complement();
             let mut want: Vec<u32> = (0..n)
@@ -1267,6 +1199,7 @@ mod tests {
                 })
                 .collect();
             let mut got = fv.overrulers(f).to_vec();
+            assert!(in_program_order(&got), "overrulers of {f}");
             want.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, want, "overrulers of {f}");
@@ -1276,6 +1209,7 @@ mod tests {
                 })
                 .collect();
             let mut got = fv.defeaters(f).to_vec();
+            assert!(in_program_order(&got), "defeaters of {f}");
             want.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, want, "defeaters of {f}");
@@ -1292,6 +1226,14 @@ mod tests {
                 assert!(fv.defeaters(v).contains(&f));
             }
         }
+        assert_eq!(
+            fv.overrule_edges(),
+            (0..n).map(|f| fv.overrulers(f).len()).sum()
+        );
+        assert_eq!(
+            fv.defeat_edges(),
+            (0..n).map(|f| fv.defeaters(f).len()).sum()
+        );
     }
 
     /// The view's rule multiset equals the program's view of `c`.
@@ -1355,6 +1297,29 @@ mod tests {
             }
             FlatPatch::Rebuild => panic!("stratum-local assert must patch"),
         }
+    }
+
+    #[test]
+    fn spliced_rules_take_their_program_order_place() {
+        // a :- b exists; a. sorts before it (empty body): after the
+        // patch the head bucket of `a` lists the fact first, exactly
+        // as a rebuild does.
+        let old = chain();
+        let mut rules: Vec<GroundRule> = old.rules.clone();
+        rules.push(GroundRule::new(lit(0), vec![], CompId(0)));
+        let new = GroundProgram::new(rules, order1(), 4);
+        let FlatPatch::Patched(p) = patch_via_delta(&old, &new, CompId(0)) else {
+            panic!("stratum-local assert must patch")
+        };
+        check_well_formed(&p, &new);
+        let fresh = FlatView::new(&new, CompId(0));
+        let bodies = |fv: &FlatView| -> Vec<Vec<GLit>> {
+            (fv.rules_with_head(lit(0)).iter())
+                .map(|&f| fv.body(f).to_vec())
+                .collect()
+        };
+        assert_eq!(bodies(&p), vec![vec![], vec![lit(1)]]);
+        assert_eq!(bodies(&p), bodies(&fresh));
     }
 
     #[test]
@@ -1441,6 +1406,211 @@ mod tests {
         }
     }
 
+    /// The paper's programs: the arena of every component is well
+    /// formed, its attack lists matching the brute-force recomputation.
+    #[test]
+    fn paper_programs_are_well_formed() {
+        use crate::exhaustive::ground_exhaustive;
+        use crate::universe::GroundConfig;
+        let loan = "module expert2 { take_loan :- inflation(X), X > 11. }
+             module expert4 { -take_loan :- loan_rate(X), X > 14. }
+             module expert3 < expert4 {
+                take_loan :- inflation(X), loan_rate(Y), X > Y + 2.
+             }
+             module myself < expert2, expert3 { inflation(19). loan_rate(16). }";
+        for src in [statuses::FIG1, statuses::FIG2, statuses::P5, loan] {
+            let mut w = World::new();
+            let p = olp_parser::parse_program(&mut w, src).unwrap();
+            let gp = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
+            for c in 0..gp.order.len() {
+                let fv = FlatView::new(&gp, CompId(c as u32));
+                check_well_formed(&fv, &gp);
+                assert_matches_view(&fv, &gp, CompId(c as u32));
+            }
+        }
+    }
+
+    /// The five rule statuses of Definition 2 on the paper's Example 2.
+    mod statuses {
+        use super::*;
+        use crate::exhaustive::ground_exhaustive;
+        use crate::universe::GroundConfig;
+        use olp_parser::{parse_ground_literal, parse_program};
+
+        pub(super) const FIG1: &str = "module c2 {
+                bird(penguin). bird(pigeon).
+                fly(X) :- bird(X).
+                -ground_animal(X) :- bird(X).
+             }
+             module c1 < c2 {
+                ground_animal(penguin).
+                -fly(X) :- ground_animal(X).
+             }";
+
+        /// The paper's Fig. 2: in `c1`, `rich` and `poor` defeat each
+        /// other.
+        pub(super) const FIG2: &str = "module c3 { rich(mimmo). -poor(X) :- rich(X). }
+             module c2 { poor(mimmo). -rich(X) :- poor(X). }
+             module c1 < c2, c3 { free_ticket(X) :- poor(X). }";
+
+        /// Example 5 (P5).
+        pub(super) const P5: &str = "module c2 { a. b. c. }
+             module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }";
+
+        fn ground(src: &str) -> (World, GroundProgram) {
+            let mut w = World::new();
+            let p = parse_program(&mut w, src).unwrap();
+            let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
+            (w, g)
+        }
+
+        /// The paper's total interpretation I1 for P1 in C1 (Example 2).
+        fn i1(w: &mut World) -> Interpretation {
+            Interpretation::from_literals(
+                [
+                    "bird(pigeon)",
+                    "bird(penguin)",
+                    "ground_animal(penguin)",
+                    "-ground_animal(pigeon)",
+                    "fly(pigeon)",
+                    "-fly(penguin)",
+                ]
+                .iter()
+                .map(|s| parse_ground_literal(w, s).unwrap()),
+            )
+            .unwrap()
+        }
+
+        fn find_rule(w: &mut World, v: &FlatView, head: &str, body: &[&str]) -> FlatIdx {
+            let h = parse_ground_literal(w, head).unwrap();
+            let mut want: Vec<GLit> = body
+                .iter()
+                .map(|s| parse_ground_literal(w, s).unwrap())
+                .collect();
+            want.sort_unstable();
+            v.rules_with_head(h)
+                .iter()
+                .copied()
+                .find(|&f| v.body(f) == &want[..])
+                .unwrap_or_else(|| panic!("rule {head} :- {body:?} not found"))
+        }
+
+        #[test]
+        fn example2_statuses_in_c1() {
+            // Example 2 of the paper, checked verbatim.
+            let (mut w, g) = ground(FIG1);
+            let c1 = CompId(1); // parse order: c2 is component 0, c1 is 1
+            assert_eq!(g.view(c1).len(), 9);
+            let v = FlatView::new(&g, c1);
+            let i = i1(&mut w);
+
+            // `fly(penguin) :- bird(penguin)` is applicable but overruled
+            // by the applied rule `-fly(penguin) :- ground_animal(penguin)`.
+            let fly_peng = find_rule(&mut w, &v, "fly(penguin)", &["bird(penguin)"]);
+            assert!(v.applicable(fly_peng, &i));
+            assert!(!v.applied(fly_peng, &i));
+            assert!(v.overruled(fly_peng, &i));
+            assert!(v.overruled_by_applied(fly_peng, &i));
+            assert!(!v.defeated(fly_peng, &i));
+
+            let nofly_peng = find_rule(&mut w, &v, "-fly(penguin)", &["ground_animal(penguin)"]);
+            assert!(v.applied(nofly_peng, &i));
+            assert!(!v.overruled(nofly_peng, &i));
+
+            // `-fly(pigeon) :- ground_animal(pigeon)` is both blocked and
+            // non-applicable.
+            let nofly_pig = find_rule(&mut w, &v, "-fly(pigeon)", &["ground_animal(pigeon)"]);
+            assert!(v.blocked(nofly_pig, &i));
+            assert!(!v.applicable(nofly_pig, &i));
+        }
+
+        #[test]
+        fn example2_defeating_in_collapsed_program() {
+            // P̂1: all rules in a single component — overruling becomes
+            // mutual defeating.
+            let (mut w, g) = ground(
+                "bird(penguin). bird(pigeon).
+                 fly(X) :- bird(X).
+                 -ground_animal(X) :- bird(X).
+                 ground_animal(penguin).
+                 -fly(X) :- ground_animal(X).",
+            );
+            let v = FlatView::new(&g, CompId(0));
+            let i = i1(&mut w);
+
+            let fly_peng = find_rule(&mut w, &v, "fly(penguin)", &["bird(penguin)"]);
+            assert!(v.applicable(fly_peng, &i));
+            assert!(v.defeated(fly_peng, &i), "defeated by -fly(penguin) rule");
+            assert!(!v.overruled(fly_peng, &i), "no strictly lower component");
+
+            // The applied fact ground_animal(penguin) is defeated by the
+            // applicable rule -ground_animal(penguin) :- bird(penguin).
+            let ga_fact = find_rule(&mut w, &v, "ground_animal(penguin)", &[]);
+            assert!(v.applied(ga_fact, &i));
+            assert!(v.defeated(ga_fact, &i));
+        }
+
+        #[test]
+        fn view_of_upper_component_ignores_lower_rules() {
+            let (mut w, g) = ground(FIG1);
+            let c2 = CompId(0);
+            let v = FlatView::new(&g, c2);
+            assert_eq!(v.len(), 6);
+            // In C2's own view there is no -fly rule at all: fly(penguin)
+            // has no attackers.
+            let fly_peng = find_rule(&mut w, &v, "fly(penguin)", &["bird(penguin)"]);
+            assert!(v.overrulers(fly_peng).is_empty());
+            assert!(v.defeaters(fly_peng).is_empty());
+        }
+
+        #[test]
+        fn attack_lists_are_transposed_consistently() {
+            let (_, g) = ground(FIG1);
+            let v = FlatView::new(&g, CompId(1));
+            for f in 0..v.len() as FlatIdx {
+                for &a in v.overrulers(f) {
+                    assert!(v.victims_overrule(a).contains(&f));
+                }
+                for &a in v.defeaters(f) {
+                    assert!(v.victims_defeat(a).contains(&f));
+                }
+            }
+        }
+
+        #[test]
+        fn mutual_defeats_lint() {
+            // Fig. 2: rich/poor facts and rules defeat across
+            // incomparable components; Fig. 1's ordered version has no
+            // mutual defeats.
+            let (w, g) = ground(FIG2);
+            let conflicts = FlatView::new(&g, CompId(2)).mutual_defeats();
+            // rich(mimmo) and poor(mimmo) are each contested.
+            let heads: Vec<String> = conflicts.iter().map(|&(h, _, _)| w.glit_str(h)).collect();
+            assert!(heads.contains(&"rich(mimmo)".to_string()), "{heads:?}");
+            assert!(heads.contains(&"poor(mimmo)".to_string()));
+
+            let (_, g1) = ground(
+                "module c2 { bird(t). fly(X) :- bird(X). }
+                 module c1 < c2 { -fly(X) :- bird(X). }",
+            );
+            assert!(
+                FlatView::new(&g1, CompId(1)).mutual_defeats().is_empty(),
+                "ordered contradiction is overruling, not mutual defeat"
+            );
+        }
+
+        #[test]
+        fn blocked_requires_complement_not_absence() {
+            let (mut w, g) = ground(FIG1);
+            let v = FlatView::new(&g, CompId(1));
+            let empty = Interpretation::new();
+            let nofly_pig = find_rule(&mut w, &v, "-fly(pigeon)", &["ground_animal(pigeon)"]);
+            // Under the empty interpretation nothing is blocked.
+            assert!(!v.blocked(nofly_pig, &empty));
+            assert!(!v.applicable(nofly_pig, &empty));
+        }
+    }
+
     mod patch_props {
         use super::*;
         use olp_core::Order;
@@ -1448,15 +1618,23 @@ mod tests {
 
         const N_ATOMS: usize = 5;
 
+        /// Two components, `c0 < c1`: every attack is overruling or
+        /// same-component defeat.
         fn order2() -> Order {
             Order::from_edges(2, &[(CompId(0), CompId(1))]).unwrap()
+        }
+
+        /// Three components with `c1` and `c2` incomparable above `c0`:
+        /// the view of `c0` holds cross-component defeat.
+        fn order3() -> Order {
+            Order::from_edges(3, &[(CompId(0), CompId(1)), (CompId(0), CompId(2))]).unwrap()
         }
 
         fn arb_rule() -> impl Strategy<Value = GroundRule> {
             (
                 any::<bool>(),
                 0..N_ATOMS as u32,
-                0..2u32,
+                0..3u32,
                 proptest::collection::vec((any::<bool>(), 0..N_ATOMS as u32), 0..3),
             )
                 .prop_map(|(hp, ha, comp, body)| {
@@ -1476,20 +1654,27 @@ mod tests {
         }
 
         proptest! {
-            /// A patched view is structurally equivalent to a
-            /// from-scratch rebuild: same rule multiset as the new
-            /// program's view, and every arena invariant holds —
-            /// strata topological, attacks content-exact, watches
-            /// consistent. (Byte-identical *models* through the
-            /// patched arenas are proven end-to-end by the
-            /// differential proptest in `tests/incremental.rs`.)
+            /// Fresh arenas satisfy every invariant, and a patched view
+            /// is structurally equivalent to a from-scratch rebuild:
+            /// same rule multiset as the new program's view, program
+            /// order within strata, and every arena invariant —
+            /// strata topological, attacks equal to the brute-force
+            /// recomputation, watches consistent. (Byte-identical
+            /// *models* through the patched arenas are proven
+            /// end-to-end by the differential proptest in
+            /// `tests/incremental.rs`.)
             #[test]
             fn patch_is_structurally_equivalent_to_rebuild(
                 base in proptest::collection::vec(arb_rule(), 1..12),
                 adds in proptest::collection::vec(arb_rule(), 0..4),
                 remove_mask in any::<u16>(),
+                incomparable in any::<bool>(),
             ) {
-                let order = order2();
+                let (order, n_comps) = if incomparable { (order3(), 3) } else { (order2(), 2) };
+                let in_range = |r: &GroundRule| {
+                    GroundRule { comp: CompId(r.comp.0 % n_comps), ..r.clone() }
+                };
+                let base: Vec<GroundRule> = base.iter().map(in_range).collect();
                 let old = GroundProgram::new(base, order.clone(), N_ATOMS);
                 let mut kept: Vec<GroundRule> = old
                     .rules
@@ -1498,12 +1683,14 @@ mod tests {
                     .filter(|(i, _)| remove_mask & (1 << (i % 16)) == 0)
                     .map(|(_, r)| r.clone())
                     .collect();
-                kept.extend(adds.iter().cloned());
+                kept.extend(adds.iter().map(in_range));
                 let new = GroundProgram::new(kept, order, N_ATOMS);
                 let delta = crate::delta::GroundDelta::between(&old, &new);
-                for c in 0..2u32 {
+                for c in 0..n_comps {
                     let c = CompId(c);
                     let fv = FlatView::new(&old, c);
+                    check_well_formed(&fv, &old);
+                    check_well_formed(&FlatView::new(&new, c), &new);
                     let (added, removed) = delta.for_view(&old, &new, c);
                     let refs: Vec<&GroundRule> =
                         removed.iter().map(|&i| &old.rules[i as usize]).collect();

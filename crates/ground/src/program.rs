@@ -130,13 +130,19 @@ impl GroundProgram {
     /// Renders a ground rule for diagnostics.
     pub fn rule_str(&self, world: &World, idx: RuleIdx) -> String {
         let r = &self.rules[idx as usize];
-        let head = world.glit_str(r.head);
-        if r.body.is_empty() {
-            format!("[{}] {}.", r.comp.0, head)
-        } else {
-            let body: Vec<String> = r.body.iter().map(|&l| world.glit_str(l)).collect();
-            format!("[{}] {} :- {}.", r.comp.0, head, body.join(", "))
-        }
+        render_rule(world, r.head, &r.body, r.comp)
+    }
+}
+
+/// Renders a ground rule as `[comp] head :- body.` (`[comp] head.` for
+/// a fact).
+pub(crate) fn render_rule(world: &World, head: GLit, body: &[GLit], comp: CompId) -> String {
+    let head = world.glit_str(head);
+    if body.is_empty() {
+        format!("[{}] {}.", comp.0, head)
+    } else {
+        let body: Vec<String> = body.iter().map(|&l| world.glit_str(l)).collect();
+        format!("[{}] {} :- {}.", comp.0, head, body.join(", "))
     }
 }
 

@@ -15,10 +15,10 @@
 
 use olp_analyze::{ComponentProfile, StratClass};
 use olp_core::{Budget, CompId, Eval, GLit, Interpretation, Interrupted};
-use olp_ground::{FlatView, GroundProgram};
+use olp_ground::FlatView;
 use olp_semantics::{
     enumerate_assumption_free_decomposed_budgeted, interp_intersection, least_model_delta_flat,
-    least_model_morsel, stable_models_decomposed, GroupMemo, MorselCfg, View,
+    least_model_morsel, stable_models_decomposed, GroupMemo, MorselCfg,
 };
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -197,8 +197,6 @@ pub(crate) fn plan(
 /// model cache, stable memo and per-group memo; `KbSnapshot` its frozen
 /// maps (every entry current, no memos — the defaults).
 pub(crate) trait Caches {
-    /// The ground program reads evaluate against.
-    fn ground(&self) -> Arc<GroundProgram>;
     /// What the profile of `c` proves.
     fn proofs(&mut self, c: CompId) -> Proofs;
     /// The cached least model of `c`.
@@ -277,17 +275,10 @@ pub(crate) fn read(
             Eval::Complete(stable_answer(ask, models))
         }
         EnginePath::Enumerate => {
-            let ground = caches.ground();
-            let view = View::new(&ground, c);
-            let n_atoms = ground.n_atoms;
+            let fv = caches.flat(c);
             if ask == Ask::AssumptionFree {
-                enumerate_assumption_free_decomposed_budgeted(
-                    &view,
-                    n_atoms,
-                    lim.budget,
-                    lim.max_models,
-                )
-                .map(Answer::Models)
+                enumerate_assumption_free_decomposed_budgeted(&fv, lim.budget, lim.max_models)
+                    .map(Answer::Models)
             } else {
                 let cap = if ask == Ask::Stable {
                     lim.max_models
@@ -295,7 +286,7 @@ pub(crate) fn read(
                     None
                 };
                 let eval = caches.with_group_memo(c, |memo| {
-                    stable_models_decomposed(&view, n_atoms, lim.budget, cap, memo)
+                    stable_models_decomposed(&fv, lim.budget, cap, memo)
                 });
                 if let (Eval::Complete(models), None) = (&eval, cap) {
                     caches.store_stable(c, models);

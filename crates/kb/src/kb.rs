@@ -22,7 +22,7 @@ use olp_ground::{
     GroundDelta, GroundError, GroundProgram, GroundRule, ProgramStats,
 };
 use olp_parser::{parse_ground_literal, parse_program, parse_rule, ParseError};
-use olp_semantics::{GroupMemo, MorselCfg, View};
+use olp_semantics::{GroupMemo, MorselCfg};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -759,9 +759,9 @@ impl Kb {
             .map_err(|_| KbError::NonGroundQuery(query.to_string()))?;
         let c = self.comp(object)?;
         let m = self.current_model(c);
-        let view = View::new(&self.ground, c);
-        let why = olp_semantics::explain_in(&view, &m, lit);
-        Ok(olp_semantics::render_why(&self.world, &view, &why))
+        let fv = Caches::flat(self, c);
+        let why = olp_semantics::explain_in(&fv, &m, lit);
+        Ok(olp_semantics::render_why(&self.world, &fv, &why))
     }
 
     /// Goal-directed proof: is `query` in `object`'s least model?
@@ -771,7 +771,7 @@ impl Kb {
         let lit = parse_ground_literal(Arc::make_mut(&mut self.world), query)
             .map_err(|_| KbError::NonGroundQuery(query.to_string()))?;
         let c = self.comp(object)?;
-        Ok(olp_semantics::prove(&View::new(&self.ground, c), lit))
+        Ok(olp_semantics::prove(&Caches::flat(self, c), lit))
     }
 
     /// Whether mutations go through the delta grounder + stratum-local
@@ -1245,10 +1245,11 @@ impl Kb {
     /// fixpoint would schedule at the configured weight) followed by
     /// the per-predicate cardinality/distinct statistics that drive
     /// the join planner's body ordering. Purely diagnostic — computing
-    /// the report never evaluates a model.
-    pub fn plan_report(&self, object: &str) -> Result<String, KbError> {
+    /// the report never evaluates a model; it reads the cached arena
+    /// ([`Kb::flat_view`]).
+    pub fn plan_report(&mut self, object: &str) -> Result<String, KbError> {
         let c = self.comp(object)?;
-        let fv = FlatView::new(&self.ground, c);
+        let fv = Caches::flat(self, c);
         let weight = MorselCfg::default().target_weight;
         let morsels = fv.morsels(weight);
         let mut out = format!(
@@ -1362,13 +1363,14 @@ impl Kb {
         self.flat_cache.clear();
     }
 
-    /// Test/diagnostic hook: the compiled flat arena for `object` at
-    /// the current epoch (building and caching it if absent). Two calls
-    /// within one epoch return the same `Arc`; a mutation that changes
-    /// a rule visible from `object` replaces the arena (patched in
-    /// place or rebuilt), while mutations confined to unrelated
-    /// components leave the `Arc` untouched.
-    #[doc(hidden)]
+    /// The compiled arena of `object`'s view at the current epoch
+    /// (building and caching it if absent) — what every read of the
+    /// component evaluates, and what a caller renders explanations
+    /// against ([`olp_semantics::explain_in`]). Two calls within one
+    /// epoch return the same `Arc`; a mutation that changes a rule
+    /// visible from `object` replaces the arena (patched in place or
+    /// rebuilt), while mutations confined to unrelated components leave
+    /// the `Arc` untouched.
     pub fn flat_view(&mut self, object: &str) -> Result<Arc<FlatView>, KbError> {
         let c = self.comp(object)?;
         Ok(Caches::flat(self, c))
@@ -1416,10 +1418,6 @@ impl Kb {
 /// epoch-tagged least models, the maintained flat arenas, the
 /// view-versioned stable memo, and the per-group memo.
 impl Caches for Kb {
-    fn ground(&self) -> Arc<GroundProgram> {
-        self.ground.clone()
-    }
-
     fn proofs(&mut self, c: CompId) -> Proofs {
         if !self.profile_guided {
             return Proofs::default();

@@ -19,7 +19,6 @@ use crate::resolve::{self, Pattern};
 use olp_analyze::ComponentProfile;
 use olp_core::{CompId, Eval, FxHashMap, GLit, Interpretation, Truth, World};
 use olp_ground::{FlatView, GroundProgram};
-use olp_semantics::View;
 use std::sync::{Arc, Mutex};
 
 /// An immutable view of a knowledge base frozen at one epoch.
@@ -262,9 +261,9 @@ impl KbSnapshot {
             )));
         };
         Ok(self.model_eval(c, opts).map(|m| {
-            let view = View::new(&self.ground, c);
-            let why = olp_semantics::explain_in(&view, &m, lit);
-            olp_semantics::render_why(&self.world, &view, &why)
+            let fv = Caches::flat(&mut &*self, c);
+            let why = olp_semantics::explain_in(&fv, &m, lit);
+            olp_semantics::render_why(&self.world, &fv, &why)
         }))
     }
 }
@@ -274,10 +273,6 @@ impl KbSnapshot {
 /// probe or an insert, never across evaluation. Every entry is current
 /// (the epoch is frozen); there is no stable memo.
 impl Caches for &KbSnapshot {
-    fn ground(&self) -> Arc<GroundProgram> {
-        self.ground.clone()
-    }
-
     fn proofs(&mut self, c: CompId) -> Proofs {
         Proofs::of(self.profiles.get(&c).map(Arc::as_ref))
     }

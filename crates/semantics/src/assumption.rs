@@ -19,9 +19,9 @@
 //!   version*, Def. 8) keeps exactly the applied rules and `T` is the
 //!   classical immediate-consequence operator.
 
-use crate::view::View;
 use olp_core::Interpretation;
 use olp_core::{FxHashMap, FxHashSet, GLit};
+use olp_ground::{FlatIdx, FlatView};
 
 /// The enabled version `C^M`: the applied, **unattacked** rules of the
 /// view w.r.t. `m`, as `(head, body)` pairs (Definition 8,
@@ -39,10 +39,16 @@ use olp_core::{FxHashMap, FxHashSet, GLit};
 /// prove it mechanically: `thm1a_equivalence_of_af_checks` holds over
 /// thousands of random programs with this definition and fails without
 /// it.
-pub fn enabled_version(view: &View, m: &Interpretation) -> Vec<(GLit, Box<[GLit]>)> {
-    view.rules()
-        .filter(|&(li, _)| view.applied(li, m) && !view.overruled(li, m) && !view.defeated(li, m))
-        .map(|(_, r)| (r.head, r.body.clone()))
+pub fn enabled_version(fv: &FlatView, m: &Interpretation) -> Vec<(GLit, Box<[GLit]>)> {
+    enabled_in(fv, &crate::all_rules(fv), m)
+}
+
+/// [`enabled_version`] over a rule subset of the arena.
+fn enabled_in(fv: &FlatView, rules: &[FlatIdx], m: &Interpretation) -> Vec<(GLit, Box<[GLit]>)> {
+    rules
+        .iter()
+        .filter(|&&f| fv.applied(f, m) && !fv.overruled(f, m) && !fv.defeated(f, m))
+        .map(|&f| (fv.head(f), fv.body(f).into()))
         .collect()
 }
 
@@ -84,9 +90,14 @@ pub fn t_fixpoint(rules: &[(GLit, Box<[GLit]>)]) -> Interpretation {
 
 /// Theorem 1(a): a **model** `m` is assumption-free iff the `T` fixpoint
 /// of its enabled version equals `m`.
-pub fn is_assumption_free(view: &View, m: &Interpretation) -> bool {
-    let enabled = enabled_version(view, m);
-    t_fixpoint(&enabled) == *m
+pub fn is_assumption_free(fv: &FlatView, m: &Interpretation) -> bool {
+    assumption_free_in(fv, &crate::all_rules(fv), m)
+}
+
+/// [`is_assumption_free`] over a rule subset closed under the rules
+/// that mention its atoms (a decomposition group, or the whole arena).
+pub(crate) fn assumption_free_in(fv: &FlatView, rules: &[FlatIdx], m: &Interpretation) -> bool {
+    t_fixpoint(&enabled_in(fv, rules, m)) == *m
 }
 
 /// The greatest assumption set `X ⊆ i` w.r.t. `i` (Definition 6),
@@ -97,18 +108,16 @@ pub fn is_assumption_free(view: &View, m: &Interpretation) -> bool {
 /// Returns the literals of the greatest assumption set (empty iff `i`
 /// contains no assumption set at all — the union of assumption sets is
 /// an assumption set, so greatest = union).
-pub fn greatest_assumption_set(view: &View, i: &Interpretation) -> Vec<GLit> {
+pub fn greatest_assumption_set(fv: &FlatView, i: &Interpretation) -> Vec<GLit> {
     let mut x: FxHashSet<GLit> = i.literals().collect();
     loop {
         let mut removed = false;
         let members: Vec<GLit> = x.iter().copied().collect();
         for a in members {
-            let supported = view.rules_with_head(a).iter().any(|&li| {
-                view.applicable(li, i)
-                    && !view.overruled(li, i)
-                    && !view.defeated(li, i)
-                    && view.rule(li).body.iter().all(|b| !x.contains(b))
-            });
+            let supported = fv
+                .rules_with_head(a)
+                .iter()
+                .any(|&f| fv.fires(f, i) && fv.body(f).iter().all(|b| !x.contains(b)));
             if supported {
                 x.remove(&a);
                 removed = true;
@@ -125,14 +134,14 @@ pub fn greatest_assumption_set(view: &View, i: &Interpretation) -> Vec<GLit> {
 /// Whether `i` contains **no** assumption set — the direct Definition 7
 /// check. For models this agrees with [`is_assumption_free`]
 /// (Theorem 1a); for non-models only this direct check is meaningful.
-pub fn has_no_assumption_set(view: &View, i: &Interpretation) -> bool {
-    greatest_assumption_set(view, i).is_empty()
+pub fn has_no_assumption_set(fv: &FlatView, i: &Interpretation) -> bool {
+    greatest_assumption_set(fv, i).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixpoint::least_model;
+    use crate::least_model;
     use crate::model::is_model;
     use crate::test_util::{ground, interp, FIG2, P5};
     use olp_core::CompId;
@@ -142,7 +151,7 @@ mod tests {
         // P4 = { a :- b. }: the empty set is the only assumption-free
         // model; {-a, -b} is a model but NOT assumption-free.
         let (mut w, g) = ground("a :- b.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let empty = Interpretation::new();
         assert!(is_model(&v, &empty, g.n_atoms));
         assert!(is_assumption_free(&v, &empty));
@@ -160,7 +169,7 @@ mod tests {
         // Adding C2 = { -a. -b. } above C1 makes {-a,-b} assumption-free
         // (the CWA facts derive the negative literals).
         let (mut w, g) = ground("module c2 { -a. -b. } module c1 < c2 { a :- b. }");
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let nn = interp(&mut w, &["-a", "-b"]);
         assert!(is_model(&v, &nn, g.n_atoms));
         assert!(is_assumption_free(&v, &nn));
@@ -179,7 +188,7 @@ mod tests {
         ] {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
-                let v = View::new(&g, CompId(c as u32));
+                let v = FlatView::new(&g, CompId(c as u32));
                 let m = least_model(&v);
                 assert!(is_assumption_free(&v, &m));
                 assert!(has_no_assumption_set(&v, &m));
@@ -192,7 +201,7 @@ mod tests {
         // p :- q. q :- p. — {p, q} is a model-ish candidate whose
         // members only support each other: an assumption set.
         let (mut w, g) = ground("p :- q. q :- p.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let pq = interp(&mut w, &["p", "q"]);
         let gas = greatest_assumption_set(&v, &pq);
         assert_eq!(gas.len(), 2);
@@ -205,7 +214,7 @@ mod tests {
         // The enabled version contains only applied rules, so T just
         // chases bodies.
         let (mut w, g) = ground("a. b :- a. c :- b.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let m = interp(&mut w, &["a", "b", "c"]);
         let enabled = enabled_version(&v, &m);
         assert_eq!(enabled.len(), 3);
@@ -226,7 +235,7 @@ mod tests {
             "module c0 < c1 { p0 :- p0, p1. p3 :- p3. p1 :- p0. }
              module c1 { p3. -p1. p1 :- -p0. -p3 :- p0. }",
         );
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let m = interp(&mut w, &["p3"]);
         assert!(is_model(&v, &m, g.n_atoms));
         assert!(
@@ -245,7 +254,7 @@ mod tests {
     fn example5_assumption_free_but_not_stable_candidate() {
         // P5: {c} is assumption-free (but not maximal).
         let (mut w, g) = ground(P5);
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let just_c = interp(&mut w, &["c"]);
         assert!(is_model(&v, &just_c, g.n_atoms));
         assert!(is_assumption_free(&v, &just_c));

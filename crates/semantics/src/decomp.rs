@@ -31,27 +31,31 @@
 //! Def. 3, and the enabled-version `T`-fixpoint of Defs. 6–8 evaluate a
 //! rule using only atoms of its own group. Hence an interpretation is an
 //! assumption-free model of the view iff its restriction to each group
-//! is an assumption-free model of that group's sub-view ([`View::restrict`]),
-//! and the AF model set is the product of the per-group sets. Maximality
+//! is an assumption-free model of that group's rules, and the AF model
+//! set is the product of the per-group sets. Maximality
 //! distributes over products of disjoint-atom sets, so the stable models
 //! (Def. 9) are the product of per-group maximal AF models.
+//!
+//! A group is searched on the component's own arena, over the group's
+//! rule list: every rule that mentions a group atom is in the group, so
+//! rules by head, attackers and watchers of group atoms never leave it,
+//! and solving a group costs what its own rules cost.
 //!
 //! Budget/anytime behaviour is preserved: a tripped budget yields only
 //! complete group tuples (every partial entry is a genuine AF model of
 //! the whole view).
 
 use crate::stable::maximal_of;
-use crate::stable_solver::enumerate_assumption_free_propagating_budgeted;
-use crate::view::View;
+use crate::stable_solver::enumerate_in;
 use olp_core::{Budget, Eval, FxHashMap, Interpretation, InterruptReason, Interrupted};
-use olp_ground::GroundRule;
+use olp_ground::{FlatIdx, FlatView, GroundRule};
 
 /// The weakly connected rule groups of a view's dependency graph.
 #[derive(Debug, Clone)]
 pub struct Decomposition {
-    /// Weakly connected rule groups, as **global** rule indices suitable
-    /// for [`View::restrict`]; group order is first-seen rule order.
-    groups: Vec<Vec<u32>>,
+    /// Weakly connected rule groups, as flat rule indices in flat
+    /// order; groups are ordered by their first rule in program order.
+    groups: Vec<Vec<FlatIdx>>,
 }
 
 fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -64,38 +68,48 @@ fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
 }
 
 impl Decomposition {
-    /// Computes the rule groups of `view`. Linear in atoms + rule-body
+    /// Computes the rule groups of `fv`. Linear in atoms + rule-body
     /// edges (union–find with path halving).
-    pub fn new(view: &View) -> Self {
-        let mut parent: Vec<u32> = (0..view.gp.n_atoms as u32).collect();
-        for (_, r) in view.rules() {
-            let h = r.head.atom().index() as u32;
-            for &b in &r.body {
-                let (rh, rb) = (
-                    uf_find(&mut parent, h),
-                    uf_find(&mut parent, b.atom().index() as u32),
-                );
+    pub fn new(fv: &FlatView) -> Self {
+        let mut parent: Vec<u32> = (0..fv.n_atoms as u32).collect();
+        for f in 0..fv.len() as FlatIdx {
+            let h = fv.head(f).atom().0;
+            for &b in fv.body(f) {
+                let (rh, rb) = (uf_find(&mut parent, h), uf_find(&mut parent, b.atom().0));
                 if rh != rb {
                     parent[rb as usize] = rh;
                 }
             }
         }
         let mut group_of_root: FxHashMap<u32, usize> = FxHashMap::default();
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        for (li, r) in view.rules() {
-            let root = uf_find(&mut parent, r.head.atom().index() as u32);
+        let mut groups: Vec<Vec<FlatIdx>> = Vec::new();
+        for f in 0..fv.len() as FlatIdx {
+            let root = uf_find(&mut parent, fv.head(f).atom().0);
             let gi = *group_of_root.entry(root).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
             });
-            groups[gi].push(view.global_index(li));
+            groups[gi].push(f);
         }
+        // Program order decides the group order (and with it the order
+        // of the product's models), as in a rebuilt or a patched arena.
+        let first = |g: &[FlatIdx]| g.iter().map(|&f| fv.rule_key(f)).min();
+        groups.sort_by_cached_key(|g| first(g));
         Decomposition { groups }
     }
 
-    /// The weakly connected rule groups (global rule indices).
-    pub fn groups(&self) -> &[Vec<u32>] {
+    /// The weakly connected rule groups (flat rule indices).
+    pub fn groups(&self) -> &[Vec<FlatIdx>] {
         &self.groups
+    }
+
+    /// The rules of a view that is at most one group.
+    fn single(&self) -> Option<&[FlatIdx]> {
+        match self.groups.as_slice() {
+            [] => Some(&[]),
+            [g] => Some(g),
+            _ => None,
+        }
     }
 }
 
@@ -152,8 +166,8 @@ fn product(
 }
 
 /// Solves every group of `d` with `solve` (called with the group's
-/// global rule indices) and combines the per-group results as a
-/// product capped at `max_models`.
+/// flat rule indices) and combines the per-group results as a product
+/// capped at `max_models`.
 ///
 /// A budget trip in the **last** group still yields sound tuples (every
 /// earlier group is complete); a trip in an earlier group yields an
@@ -163,7 +177,7 @@ fn product_of_groups(
     d: &Decomposition,
     budget: &Budget,
     max_models: Option<usize>,
-    mut solve: impl FnMut(&[u32]) -> Eval<Vec<Interpretation>>,
+    mut solve: impl FnMut(&[FlatIdx]) -> Eval<Vec<Interpretation>>,
 ) -> Eval<Vec<Interpretation>> {
     let n_groups = d.groups().len();
     let mut per_group: Vec<Vec<Interpretation>> = Vec::with_capacity(n_groups);
@@ -210,17 +224,16 @@ fn product_of_groups(
 /// trip while a *non-final* group is still enumerating yields an empty
 /// partial list (no sound complete tuple exists yet).
 pub fn enumerate_assumption_free_decomposed_budgeted(
-    view: &View,
-    n_atoms: usize,
+    fv: &FlatView,
     budget: &Budget,
     max_models: Option<usize>,
 ) -> Eval<Vec<Interpretation>> {
-    let d = Decomposition::new(view);
-    if d.groups().len() <= 1 {
-        return enumerate_assumption_free_propagating_budgeted(view, n_atoms, budget, max_models);
+    let d = Decomposition::new(fv);
+    if let Some(rules) = d.single() {
+        return enumerate_in(fv, rules, budget, max_models);
     }
     product_of_groups(&d, budget, max_models, |rules| {
-        enumerate_assumption_free_propagating_budgeted(&view.restrict(rules), n_atoms, budget, None)
+        enumerate_in(fv, rules, budget, None)
     })
 }
 
@@ -252,23 +265,23 @@ pub type GroupMemo = FxHashMap<Vec<GroundRule>, Vec<Interpretation>>;
 /// models, but maximality is relative to what was explored — treat
 /// them as "best stable candidates so far".
 pub fn stable_models_decomposed(
-    view: &View,
-    n_atoms: usize,
+    fv: &FlatView,
     budget: &Budget,
     max_models: Option<usize>,
     mut memo: Option<&mut GroupMemo>,
 ) -> Eval<Vec<Interpretation>> {
-    let d = Decomposition::new(view);
-    if d.groups().len() <= 1 {
-        return maximal_of(enumerate_assumption_free_propagating_budgeted(
-            view, n_atoms, budget, max_models,
-        ));
+    let d = Decomposition::new(fv);
+    if let Some(rules) = d.single() {
+        return maximal_of(enumerate_in(fv, rules, budget, max_models));
     }
     product_of_groups(&d, budget, max_models, |rules| {
         let key = memo.is_some().then(|| {
-            let mut key: Vec<GroundRule> = rules
-                .iter()
-                .map(|&g| view.gp.rules[g as usize].clone())
+            let mut key: Vec<GroundRule> = (rules.iter())
+                .map(|&f| GroundRule {
+                    head: fv.head(f),
+                    body: fv.body(f).into(),
+                    comp: fv.rule_comp(f),
+                })
                 .collect();
             key.sort_unstable_by(|a, b| (a.comp, a.head, &a.body).cmp(&(b.comp, b.head, &b.body)));
             key
@@ -276,10 +289,7 @@ pub fn stable_models_decomposed(
         if let Some(ms) = key.as_ref().and_then(|k| memo.as_deref()?.get(k)) {
             return Eval::Complete(ms.clone());
         }
-        let sub = view.restrict(rules);
-        let eval = maximal_of(enumerate_assumption_free_propagating_budgeted(
-            &sub, n_atoms, budget, None,
-        ));
+        let eval = maximal_of(enumerate_in(fv, rules, budget, None));
         if let (Some(memo), Some(key), Eval::Complete(ms)) = (memo.as_deref_mut(), key, &eval) {
             memo.insert(key, ms.clone());
         }
@@ -295,13 +305,12 @@ mod tests {
     use crate::test_util::{ground, renders};
     use olp_core::CompId;
 
-    fn af_decomposed(v: &View, n_atoms: usize) -> Vec<Interpretation> {
-        enumerate_assumption_free_decomposed_budgeted(v, n_atoms, &Budget::unlimited(), None)
-            .into_value()
+    fn af_decomposed(v: &FlatView) -> Vec<Interpretation> {
+        enumerate_assumption_free_decomposed_budgeted(v, &Budget::unlimited(), None).into_value()
     }
 
-    fn stable_decomposed(v: &View, n_atoms: usize) -> Vec<Interpretation> {
-        stable_models_decomposed(v, n_atoms, &Budget::unlimited(), None, None).into_value()
+    fn stable_decomposed(v: &FlatView) -> Vec<Interpretation> {
+        stable_models_decomposed(v, &Budget::unlimited(), None, None).into_value()
     }
 
     /// Two disjoint copies of the paper's Fig. 2 (mutual defeat) plus an
@@ -317,7 +326,7 @@ mod tests {
     #[test]
     fn groups_split_disjoint_subprograms() {
         let (_, g) = ground(TWO_FIG2);
-        let v = View::new(&g, CompId(2)); // c1
+        let v = FlatView::new(&g, CompId(2)); // c1
         let d = Decomposition::new(&v);
         // Grounding instantiates every rule for every constant, so each
         // of the three relation cliques (rich/poor/free_ticket,
@@ -329,13 +338,37 @@ mod tests {
     }
 
     #[test]
+    fn groups_follow_program_order_not_flat_order() {
+        // {p1, p2} lives in c0 and {p0} in c1, so program order puts
+        // the first group first, while the flat order starts with the
+        // fact p0 (level 0, lowest SCC id).
+        use olp_core::{AtomId, GLit, Order};
+        use olp_ground::GroundProgram;
+        let lit = |a| GLit::pos(AtomId(a));
+        let rules = vec![
+            GroundRule::new(lit(1), vec![lit(2)], CompId(0)),
+            GroundRule::new(lit(2), vec![], CompId(0)),
+            GroundRule::new(lit(0), vec![], CompId(1)),
+        ];
+        let order = Order::from_edges(2, &[(CompId(0), CompId(1))]).unwrap();
+        let fv = FlatView::new(&GroundProgram::new(rules, order, 3), CompId(0));
+        assert_eq!(fv.head(0), lit(0), "the flat order starts with p0");
+        let heads: Vec<Vec<GLit>> = (Decomposition::new(&fv).groups().iter())
+            .map(|g| g.iter().map(|&f| fv.head(f)).collect())
+            .collect();
+        assert_eq!(heads.len(), 2);
+        assert!(heads[0].contains(&lit(1)) && heads[0].contains(&lit(2)));
+        assert_eq!(heads[1], vec![lit(0)]);
+    }
+
+    #[test]
     fn decomposed_af_set_equals_monolithic() {
         let (w, g) = ground(TWO_FIG2);
         for c in 0..g.order.len() {
-            let v = View::new(&g, CompId(c as u32));
+            let v = FlatView::new(&g, CompId(c as u32));
             assert_eq!(
-                renders(&w, &af_decomposed(&v, g.n_atoms)),
-                renders(&w, &enumerate_assumption_free_propagating(&v, g.n_atoms)),
+                renders(&w, &af_decomposed(&v)),
+                renders(&w, &enumerate_assumption_free_propagating(&v)),
                 "component {c}"
             );
         }
@@ -350,15 +383,12 @@ mod tests {
              module c1 < c2 { -a :- b, c. -b :- a. -b :- -b.
                               -x :- y, z. -y :- x. -y :- -y. }",
         );
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let d = Decomposition::new(&v);
         assert_eq!(d.groups().len(), 2);
-        let dec = stable_decomposed(&v, g.n_atoms);
+        let dec = stable_decomposed(&v);
         assert_eq!(dec.len(), 4);
-        assert_eq!(
-            renders(&w, &dec),
-            renders(&w, &stable_models_naive(&v, g.n_atoms))
-        );
+        assert_eq!(renders(&w, &dec), renders(&w, &stable_models_naive(&v)));
     }
 
     #[test]
@@ -366,11 +396,11 @@ mod tests {
         // Every entry of any budget-tripped partial result must be a
         // member of the unbudgeted enumeration (complete tuples only).
         let (w, g) = ground(TWO_FIG2);
-        let v = View::new(&g, CompId(2));
-        let full = renders(&w, &af_decomposed(&v, g.n_atoms));
+        let v = FlatView::new(&g, CompId(2));
+        let full = renders(&w, &af_decomposed(&v));
         for steps in [1u64, 8, 64, 256, 1024, 4096] {
             let b = Budget::with_steps(steps);
-            let got = match enumerate_assumption_free_decomposed_budgeted(&v, g.n_atoms, &b, None) {
+            let got = match enumerate_assumption_free_decomposed_budgeted(&v, &b, None) {
                 Eval::Complete(ms) => ms,
                 Eval::Interrupted(Interrupted { partial, .. }) => partial,
             };
@@ -387,15 +417,11 @@ mod tests {
              module c1 < c2 { -a :- b, c. -b :- a. -b :- -b.
                               -x :- y, z. -y :- x. -y :- -y. }",
         );
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let mut memo = GroupMemo::default();
         let first =
-            stable_models_decomposed(&v, g.n_atoms, &Budget::unlimited(), None, Some(&mut memo))
-                .into_value();
-        assert_eq!(
-            renders(&w, &first),
-            renders(&w, &stable_decomposed(&v, g.n_atoms))
-        );
+            stable_models_decomposed(&v, &Budget::unlimited(), None, Some(&mut memo)).into_value();
+        assert_eq!(renders(&w, &first), renders(&w, &stable_decomposed(&v)));
         assert_eq!(memo.len(), 2, "one entry per group");
         // Second run must be answered from the memo alone: 64 steps is
         // one ticker batch — enough for the final product only.
@@ -403,17 +429,11 @@ mod tests {
         // a batch and the run trips with an empty result; with memo
         // hits both are skipped and the full set comes back Complete.
         let budget = Budget::with_steps(64);
-        let again = stable_models_decomposed(&v, g.n_atoms, &budget, None, Some(&mut memo))
+        let again = stable_models_decomposed(&v, &budget, None, Some(&mut memo))
             .expect_complete("memo hits answer within one ticker batch");
         assert_eq!(renders(&w, &again), renders(&w, &first));
         let mut empty = GroupMemo::default();
-        let cold = stable_models_decomposed(
-            &v,
-            g.n_atoms,
-            &Budget::with_steps(64),
-            None,
-            Some(&mut empty),
-        );
+        let cold = stable_models_decomposed(&v, &Budget::with_steps(64), None, Some(&mut empty));
         assert!(cold.is_partial(), "64 steps cannot re-enumerate");
     }
 
@@ -424,8 +444,8 @@ mod tests {
              module c1 < c2 { -a :- b, c. -b :- a. -b :- -b.
                               -x :- y, z. -y :- x. -y :- -y. }",
         );
-        let v = View::new(&g, CompId(1));
-        match stable_models_decomposed(&v, g.n_atoms, &Budget::unlimited(), Some(2), None) {
+        let v = FlatView::new(&g, CompId(1));
+        match stable_models_decomposed(&v, &Budget::unlimited(), Some(2), None) {
             Eval::Interrupted(Interrupted { reason, partial }) => {
                 assert_eq!(reason, InterruptReason::ModelCap);
                 assert_eq!(partial.len(), 2);

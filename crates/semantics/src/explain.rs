@@ -14,9 +14,9 @@
 //!   blocking literal), *overruled* / *defeated* (with the active
 //!   attacker), or *not applicable* (with the missing body literals).
 
-use crate::fixpoint::least_model_budgeted;
-use crate::view::{LocalIdx, View};
-use olp_core::{Budget, Eval, FxHashMap, GLit, Interpretation, World};
+use crate::flat_eval::least_model_budgeted;
+use olp_core::{Budget, Eval, GLit, Interpretation, World};
+use olp_ground::{FlatIdx, FlatView};
 use std::fmt::Write as _;
 
 /// A proof tree for a derived literal.
@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 pub struct Proof {
     /// The literal proved.
     pub lit: GLit,
-    /// The rule (local index in the view) that derives it.
-    pub rule: LocalIdx,
+    /// The rule that derives it.
+    pub rule: FlatIdx,
     /// Sub-proofs, one per body literal.
     pub premises: Vec<Proof>,
 }
@@ -40,14 +40,14 @@ pub enum Fate {
     },
     /// A non-blocked rule in a strictly lower component contradicts it.
     Overruled {
-        /// The active overruler (local index).
-        by: LocalIdx,
+        /// The active overruler.
+        by: FlatIdx,
     },
     /// A non-blocked rule in the same or an incomparable component
     /// contradicts it.
     Defeated {
-        /// The active defeater (local index).
-        by: LocalIdx,
+        /// The active defeater.
+        by: FlatIdx,
     },
     /// The body is not satisfied (and not refuted).
     NotApplicable {
@@ -62,14 +62,14 @@ pub enum Why {
     /// The literal is derived; here is a proof.
     Proved(Proof),
     /// The literal is not derived; here is what happened to every rule
-    /// with this head (empty = no rules at all).
-    NotProved(Vec<(LocalIdx, Fate)>),
+    /// with this head, in program order (empty = no rules at all).
+    NotProved(Vec<(FlatIdx, Fate)>),
 }
 
 /// Explains `lit` against the **least model** of the view (computed
 /// internally; use [`explain_in`] to reuse a model).
-pub fn explain(view: &View, lit: GLit) -> Why {
-    explain_budgeted(view, lit, &Budget::unlimited()).into_value()
+pub fn explain(fv: &FlatView, lit: GLit) -> Why {
+    explain_budgeted(fv, lit, &Budget::unlimited()).into_value()
 }
 
 /// [`explain`] under a [`Budget`]: the least-model computation may be
@@ -83,88 +83,87 @@ pub fn explain(view: &View, lit: GLit) -> Why {
 /// `NotProved` record on a partial result is provisional: it reports
 /// the rule fates *relative to the explored prefix* — the literal may
 /// still be derived by the unexplored remainder.
-pub fn explain_budgeted(view: &View, lit: GLit, budget: &Budget) -> Eval<Why> {
-    least_model_budgeted(view, budget).map(|m| explain_in(view, &m, lit))
+pub fn explain_budgeted(fv: &FlatView, lit: GLit, budget: &Budget) -> Eval<Why> {
+    least_model_budgeted(fv, budget).map(|m| explain_in(fv, &m, lit))
 }
 
-/// Explains `lit` against a precomputed least model `m` of `view`.
+/// Explains `lit` against a precomputed least model `m` of `fv`.
 ///
 /// The proof tree is built from derivation ranks, so it is acyclic even
-/// for mutually recursive rules. `m` must be the least model — for
-/// other models "applied" rules may be circularly supported and no
+/// for mutually recursive rules; each step uses the first qualifying
+/// rule in program order. `m` must be the least model — for other
+/// models "applied" rules may be circularly supported and no
 /// well-founded tree exists.
-pub fn explain_in(view: &View, m: &Interpretation, lit: GLit) -> Why {
+pub fn explain_in(fv: &FlatView, m: &Interpretation, lit: GLit) -> Why {
     if m.holds(lit) {
-        let ranks = derivation_ranks(view, m);
-        Why::Proved(build_proof(view, m, &ranks, lit))
+        let ranks = derivation_ranks(fv, m);
+        Why::Proved(build_proof(fv, m, &ranks, lit))
     } else {
-        let fates = view
+        let fates = fv
             .rules_with_head(lit)
             .iter()
-            .map(|&li| (li, fate_of(view, m, li)))
+            .map(|&f| (f, fate_of(fv, m, f)))
             .collect();
         Why::NotProved(fates)
     }
 }
 
+/// Derivation rank per literal code (`u32::MAX`: not ranked).
+struct Ranks(Vec<u32>);
+
+impl Ranks {
+    fn get(&self, l: GLit) -> Option<u32> {
+        self.0.get(l.code()).copied().filter(|&r| r != u32::MAX)
+    }
+}
+
 /// Ranks every derived literal by the `T`-stage at which an applied,
 /// non-attacked rule first fires it.
-fn derivation_ranks(view: &View, m: &Interpretation) -> FxHashMap<GLit, u32> {
-    let mut rank: FxHashMap<GLit, u32> = FxHashMap::default();
+fn derivation_ranks(fv: &FlatView, m: &Interpretation) -> Ranks {
+    let mut rank = Ranks(vec![u32::MAX; 2 * fv.n_atoms]);
     let mut stage = 0u32;
     loop {
         // Stage-synchronous: additions of this pass only become visible
         // in the next pass, so body ranks are strictly smaller than head
         // ranks and proof trees are well-founded.
         let mut added = Vec::new();
-        for (li, r) in view.rules() {
-            if rank.contains_key(&r.head) || !m.holds(r.head) {
+        for f in 0..fv.len() as FlatIdx {
+            let h = fv.head(f);
+            if rank.get(h).is_some() || !m.holds(h) {
                 continue;
             }
-            let usable = view.applied(li, m)
-                && !view.overruled(li, m)
-                && !view.defeated(li, m)
-                && r.body.iter().all(|b| rank.contains_key(b));
-            if usable {
-                added.push(r.head);
+            // The head holds, so a firing rule is applied and unattacked.
+            if fv.body(f).iter().all(|&b| rank.get(b).is_some()) && fv.fires(f, m) {
+                added.push(h);
             }
         }
         if added.is_empty() {
             return rank;
         }
         for h in added {
-            rank.insert(h, stage);
+            rank.0[h.code()] = stage;
         }
         stage += 1;
     }
 }
 
-fn build_proof(view: &View, m: &Interpretation, ranks: &FxHashMap<GLit, u32>, lit: GLit) -> Proof {
-    let my_rank = *ranks
-        .get(&lit)
+fn build_proof(fv: &FlatView, m: &Interpretation, ranks: &Ranks, lit: GLit) -> Proof {
+    let my_rank = ranks
+        .get(lit)
         .expect("literal in the least model has a derivation rank");
     // Pick a firing rule whose body literals all have strictly smaller
     // ranks (the rule that assigned the rank qualifies).
-    let rule = view
+    let rule = fv
         .rules_with_head(lit)
         .iter()
         .copied()
-        .find(|&li| {
-            view.applied(li, m)
-                && !view.overruled(li, m)
-                && !view.defeated(li, m)
-                && view
-                    .rule(li)
-                    .body
-                    .iter()
-                    .all(|b| ranks.get(b).is_some_and(|&rb| rb < my_rank))
+        .find(|&f| {
+            fv.fires(f, m)
+                && (fv.body(f).iter()).all(|&b| ranks.get(b).is_some_and(|rb| rb < my_rank))
         })
         .expect("a ranked literal has a rank-decreasing rule");
-    let premises = view
-        .rule(rule)
-        .body
-        .iter()
-        .map(|&b| build_proof(view, m, ranks, b))
+    let premises = (fv.body(rule).iter())
+        .map(|&b| build_proof(fv, m, ranks, b))
         .collect();
     Proof {
         lit,
@@ -173,22 +172,21 @@ fn build_proof(view: &View, m: &Interpretation, ranks: &FxHashMap<GLit, u32>, li
     }
 }
 
-fn fate_of(view: &View, m: &Interpretation, li: LocalIdx) -> Fate {
+fn fate_of(fv: &FlatView, m: &Interpretation, f: FlatIdx) -> Fate {
     // Blocking is reported first (strongest evidence), then attacks,
     // then inapplicability.
-    if let Some(&on) = view.rule(li).body.iter().find(|b| m.holds(b.complement())) {
+    if let Some(&on) = fv.body(f).iter().find(|b| m.holds(b.complement())) {
         return Fate::Blocked { on };
     }
-    if let Some(&by) = view.overrulers(li).iter().find(|&&a| !view.blocked(a, m)) {
+    if let Some(&by) = fv.overrulers(f).iter().find(|&&a| !fv.blocked(a, m)) {
         return Fate::Overruled { by };
     }
-    if let Some(&by) = view.defeaters(li).iter().find(|&&a| !view.blocked(a, m)) {
+    if let Some(&by) = fv.defeaters(f).iter().find(|&&a| !fv.blocked(a, m)) {
         return Fate::Defeated { by };
     }
     Fate::NotApplicable {
-        missing: view
-            .rule(li)
-            .body
+        missing: fv
+            .body(f)
             .iter()
             .copied()
             .filter(|&b| !m.holds(b))
@@ -197,17 +195,17 @@ fn fate_of(view: &View, m: &Interpretation, li: LocalIdx) -> Fate {
 }
 
 /// Renders a [`Why`] as indented human-readable text.
-pub fn render_why(world: &World, view: &View, why: &Why) -> String {
+pub fn render_why(world: &World, fv: &FlatView, why: &Why) -> String {
     let mut out = String::new();
     match why {
-        Why::Proved(p) => render_proof(world, view, p, 0, &mut out),
+        Why::Proved(p) => render_proof(world, fv, p, 0, &mut out),
         Why::NotProved(fates) => {
             if fates.is_empty() {
                 out.push_str("not derivable: no rules with this head\n");
             } else {
                 out.push_str("not derivable:\n");
-                for (li, fate) in fates {
-                    let rule = view.gp.rule_str(world, view_global(view, *li));
+                for (f, fate) in fates {
+                    let rule = fv.rule_str(world, *f);
                     match fate {
                         Fate::Blocked { on } => {
                             let _ = writeln!(
@@ -220,14 +218,14 @@ pub fn render_why(world: &World, view: &View, why: &Why) -> String {
                             let _ = writeln!(
                                 out,
                                 "  rule {rule} — overruled by {}",
-                                view.gp.rule_str(world, view_global(view, *by))
+                                fv.rule_str(world, *by)
                             );
                         }
                         Fate::Defeated { by } => {
                             let _ = writeln!(
                                 out,
                                 "  rule {rule} — defeated by {}",
-                                view.gp.rule_str(world, view_global(view, *by))
+                                fv.rule_str(world, *by)
                             );
                         }
                         Fate::NotApplicable { missing } => {
@@ -247,29 +245,23 @@ pub fn render_why(world: &World, view: &View, why: &Why) -> String {
     out
 }
 
-fn render_proof(world: &World, view: &View, p: &Proof, depth: usize, out: &mut String) {
+fn render_proof(world: &World, fv: &FlatView, p: &Proof, depth: usize, out: &mut String) {
     let indent = "  ".repeat(depth);
     let _ = writeln!(
         out,
         "{indent}{} — by {}",
         world.glit_str(p.lit),
-        view.gp.rule_str(world, view_global(view, p.rule))
+        fv.rule_str(world, p.rule)
     );
     for prem in &p.premises {
-        render_proof(world, view, prem, depth + 1, out);
+        render_proof(world, fv, prem, depth + 1, out);
     }
-}
-
-/// Maps a view-local rule index back to the global rule index (for
-/// rendering).
-fn view_global(view: &View, li: LocalIdx) -> u32 {
-    view.global_index(li)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixpoint::least_model;
+    use crate::least_model;
     use crate::test_util::{ground, FIG1};
     use olp_core::CompId;
     use olp_parser::parse_ground_literal;
@@ -277,7 +269,7 @@ mod tests {
     #[test]
     fn why_penguin_does_not_fly() {
         let (mut w, g) = ground(FIG1);
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let no_fly = parse_ground_literal(&mut w, "-fly(penguin)").unwrap();
         let why = explain(&v, no_fly);
         let Why::Proved(p) = &why else {
@@ -297,7 +289,7 @@ mod tests {
     #[test]
     fn why_not_fly_penguin_reports_overruling() {
         let (mut w, g) = ground(FIG1);
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let fly = parse_ground_literal(&mut w, "fly(penguin)").unwrap();
         let why = explain(&v, fly);
         let Why::NotProved(fates) = &why else {
@@ -313,7 +305,7 @@ mod tests {
     #[test]
     fn why_not_with_no_rules() {
         let (mut w, g) = ground("a.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let na = parse_ground_literal(&mut w, "-a").unwrap();
         let why = explain(&v, na);
         assert_eq!(why, Why::NotProved(vec![]));
@@ -323,7 +315,7 @@ mod tests {
     #[test]
     fn why_not_reports_defeat_and_missing() {
         let (mut w, g) = ground("p. -p. q :- r.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let p = parse_ground_literal(&mut w, "p").unwrap();
         let Why::NotProved(fates) = explain(&v, p) else {
             panic!("p is defeated")
@@ -340,7 +332,7 @@ mod tests {
     fn why_not_reports_blocking() {
         // -q holds, so p :- q is blocked.
         let (mut w, g) = ground("module c2 { p :- q. } module c1 < c2 { -q. }");
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let p = parse_ground_literal(&mut w, "p").unwrap();
         let Why::NotProved(fates) = explain(&v, p) else {
             panic!("p blocked")
@@ -355,7 +347,7 @@ mod tests {
              anc(X,Y) :- parent(X,Y).
              anc(X,Y) :- parent(X,Z), anc(Z,Y).",
         );
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let anc = parse_ground_literal(&mut w, "anc(a,c)").unwrap();
         let Why::Proved(proof) = explain(&v, anc) else {
             panic!("anc(a,c) derivable")
@@ -376,7 +368,7 @@ mod tests {
         ] {
             let (_, g) = ground(src);
             for ci in 0..g.order.len() {
-                let v = View::new(&g, CompId(ci as u32));
+                let v = FlatView::new(&g, CompId(ci as u32));
                 let m = least_model(&v);
                 for lit in m.literals() {
                     assert!(

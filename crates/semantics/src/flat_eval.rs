@@ -1,13 +1,19 @@
-//! Least-fixpoint engines over the flat arena representation
-//! ([`FlatView`]), sequential and morsel-parallel.
+//! The least fixpoint of the ordered immediate transformation
+//! `V_{P,C}` (Definition 4, Lemma 1, Proposition 1, Theorem 1b), over
+//! the flat arena ([`FlatView`]), sequential and morsel-parallel.
 //!
-//! Both engines compute the same least fixpoint of `V_{P,C}` as the
-//! interpretive reference worklist ([`crate::reference`]), but over
-//! [`olp_ground::flat`]'s dense arenas:
-//! truth state is a [`BitSet`] indexed by [`olp_core::GLit::code`]
-//! (one bit per signed atom), watch/attack lists are CSR slices, and
-//! stratum membership is a range check — no hashing anywhere in the
-//! inner loop.
+//! `V_{P,C}(I) = { H(r) | r ∈ ground(C*), B(r) ⊆ I, r neither overruled
+//! nor defeated w.r.t. I }`. The transformation is monotone (growing `I`
+//! can only satisfy more bodies and *block* more attackers — attacks
+//! only ever weaken), so the least fixpoint exists and equals the limit
+//! of `V^k(∅)`. The engines here compute it stratum by stratum over
+//! [`olp_ground::flat`]'s dense arenas: truth state is a [`BitSet`]
+//! indexed by [`olp_core::GLit::code`] (one bit per signed atom),
+//! watch/attack lists are CSR slices, and stratum membership is a
+//! range check — no hashing anywhere in the inner loop. The
+//! definitions transcribed literally, and the interpretive worklist
+//! over the whole view, are the reference engines in
+//! [`crate::reference`].
 //!
 //! ## The morsel scheduler
 //!
@@ -48,7 +54,6 @@
 //! such programs take the sequential path automatically regardless of
 //! the configured thread count.
 
-use crate::view::View;
 use olp_core::{
     AtomId, AtomicBitSet, BitSet, Budget, Eval, GLit, Interpretation, InterruptReason, Interrupted,
     Ticker,
@@ -56,15 +61,6 @@ use olp_core::{
 use olp_ground::{FlatView, Morsel};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Compiles the flat view corresponding to an interpretive [`View`]
-/// (same component, same rule subset — including restricted sub-views).
-pub fn flatten(view: &View) -> FlatView {
-    let rules: Vec<u32> = (0..view.len() as u32)
-        .map(|li| view.global_index(li))
-        .collect();
-    FlatView::from_rules(view.gp, view.comp, &rules)
-}
 
 /// Reusable per-engine scratch: one slot per flat rule. Allocated
 /// zeroed; every rule belongs to exactly one stratum and each stratum
@@ -230,11 +226,23 @@ fn finish(bits: &BitSet, res: Result<(), InterruptReason>) -> Eval<Interpretatio
     }
 }
 
-/// Least model of a flat view, sequentially (differentially tested
-/// against the interpretive reference engines). Under a budget, run
-/// [`least_model_morsel`] at one thread — its sequential path.
-pub fn least_model_flat(fv: &FlatView) -> Interpretation {
-    least_model_flat_cfg(fv, false, &Budget::unlimited()).into_value()
+/// Least fixpoint of `V_{P,C}`.
+///
+/// By Theorem 1(b) this is the **least model** of the program in the
+/// component, the intersection of all models, and is assumption-free.
+/// Runs the stratified worklist sequentially; it is differentially
+/// tested against the reference engines in [`crate::reference`].
+pub fn least_model(fv: &FlatView) -> Interpretation {
+    least_model_budgeted(fv, &Budget::unlimited()).into_value()
+}
+
+/// [`least_model`] under a [`Budget`].
+///
+/// On interruption the partial result is every completed stratum in
+/// full plus a monotone prefix of the current one — always a subset of
+/// the unbudgeted least model.
+pub fn least_model_budgeted(fv: &FlatView, budget: &Budget) -> Eval<Interpretation> {
+    least_model_cfg(fv, false, budget)
 }
 
 /// The sequential flat fixpoint. On interruption the partial result is
@@ -242,11 +250,7 @@ pub fn least_model_flat(fv: &FlatView) -> Interpretation {
 /// a sound under-approximation of the least model. `definite` skips
 /// all blockedness and attack bookkeeping on a view the caller proved
 /// **negation-free**; it is unsound on a view that contains negation.
-pub(crate) fn least_model_flat_cfg(
-    fv: &FlatView,
-    definite: bool,
-    budget: &Budget,
-) -> Eval<Interpretation> {
+fn least_model_cfg(fv: &FlatView, definite: bool, budget: &Budget) -> Eval<Interpretation> {
     let mut truth = BitSet::with_capacity(2 * fv.n_atoms);
     let mut sc = Scratch::new(fv.len());
     let mut ticker = budget.ticker();
@@ -265,7 +269,7 @@ pub(crate) fn least_model_flat_cfg(
 }
 
 /// Incremental least model over flat arenas, differentially tested
-/// against from-scratch [`least_model_flat`].
+/// against from-scratch [`least_model`].
 ///
 /// `old` is the least model of this view before the mutation and
 /// `touched` the sorted atom indices occurring in any changed rule —
@@ -404,7 +408,7 @@ impl MorselCfg {
 }
 
 /// Least model of a flat view under the morsel-driven work-stealing
-/// scheduler. Byte-identical to [`least_model_flat`] at every thread
+/// scheduler. Byte-identical to [`least_model`] at every thread
 /// count (see the module docs for the argument); `threads <= 1` and
 /// programs below [`MorselCfg::seq_threshold`] run the sequential path
 /// verbatim.
@@ -415,11 +419,11 @@ pub fn least_model_morsel(fv: &FlatView, cfg: &MorselCfg, budget: &Budget) -> Ev
             .sum::<u64>()
     };
     if cfg.threads <= 1 || weight() < cfg.seq_threshold {
-        return least_model_flat_cfg(fv, cfg.assume_definite, budget);
+        return least_model_cfg(fv, cfg.assume_definite, budget);
     }
     let morsels = fv.morsels(cfg.target_weight);
     if morsels.len() <= 1 {
-        return least_model_flat_cfg(fv, cfg.assume_definite, budget);
+        return least_model_cfg(fv, cfg.assume_definite, budget);
     }
     least_model_morsel_definite(fv, &morsels, cfg.threads, cfg.assume_definite, budget)
 }
@@ -578,10 +582,11 @@ fn least_model_morsel_definite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{ground, FIG1, FIG2};
+    use crate::reference::least_model_naive;
+    use crate::test_util::{ground, FIG1, FIG2, P5};
     use olp_core::{CompId, World};
     use olp_ground::{ground_exhaustive, GroundConfig, GroundProgram};
-    use olp_parser::parse_program;
+    use olp_parser::{parse_ground_literal, parse_program};
 
     #[test]
     fn flat_matches_interpretive_on_examples() {
@@ -595,11 +600,10 @@ mod tests {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
                 let c = CompId(c as u32);
-                let view = View::new(&g, c);
                 let fv = FlatView::new(&g, c);
                 assert_eq!(
-                    least_model_flat(&fv),
-                    crate::reference::least_model_monolithic(&view),
+                    least_model(&fv),
+                    crate::reference::least_model_monolithic(&fv),
                     "flat != interpretive on {src} in component {}",
                     c.0
                 );
@@ -613,7 +617,7 @@ mod tests {
         for c in 0..g.order.len() {
             let c = CompId(c as u32);
             let fv = FlatView::new(&g, c);
-            let seq = least_model_flat(&fv);
+            let seq = least_model(&fv);
             for threads in [2, 4, 8] {
                 let morsels = fv.morsels(1); // one morsel per stratum
                 let par = least_model_morsel_forced(&fv, &morsels, threads, &Budget::unlimited())
@@ -632,9 +636,9 @@ mod tests {
         ] {
             let (_, g) = ground(src);
             let fv = FlatView::new(&g, CompId(0));
-            let general = least_model_flat(&fv);
+            let general = least_model(&fv);
             let definite =
-                least_model_flat_cfg(&fv, true, &Budget::unlimited()).expect_complete("unlimited");
+                least_model_cfg(&fv, true, &Budget::unlimited()).expect_complete("unlimited");
             assert_eq!(general, definite, "{src}");
             let cfg = MorselCfg {
                 threads: 4,
@@ -656,16 +660,16 @@ mod tests {
         // "still correct", but the code path is the seq fallback).
         let cfg = MorselCfg::with_threads(8);
         let m = least_model_morsel(&fv, &cfg, &Budget::unlimited()).expect_complete("unlimited");
-        assert_eq!(m, least_model_flat(&fv));
+        assert_eq!(m, least_model(&fv));
     }
 
     #[test]
     fn budget_trip_leaves_sound_prefix() {
         let (_, g) = ground(FIG1);
         let fv = FlatView::new(&g, CompId(1));
-        let full = least_model_flat(&fv);
+        let full = least_model(&fv);
         for steps in 0..12 {
-            let eval = least_model_flat_cfg(&fv, false, &Budget::with_steps(steps));
+            let eval = least_model_cfg(&fv, false, &Budget::with_steps(steps));
             if let Eval::Interrupted(i) = eval {
                 for l in i.partial.literals() {
                     assert!(full.holds(l), "partial derived a non-model literal");
@@ -685,7 +689,7 @@ mod tests {
         for c in 0..old_gp.order.len() {
             let c = CompId(c as u32);
             let fv_old = FlatView::new(old_gp, c);
-            let old_model = least_model_flat(&fv_old);
+            let old_model = least_model(&fv_old);
             let (added, removed) = delta.for_view(old_gp, new_gp, c);
             let refs: Vec<&GroundRule> =
                 removed.iter().map(|&i| &old_gp.rules[i as usize]).collect();
@@ -696,10 +700,10 @@ mod tests {
                 Some(FlatPatch::Patched(p)) => p,
                 _ => FlatView::new(new_gp, c),
             };
-            let scratch = least_model_flat(&FlatView::new(new_gp, c));
+            let scratch = least_model(&FlatView::new(new_gp, c));
             // The (possibly patched) arena evaluates identically from
             // scratch…
-            assert_eq!(least_model_flat(&fv_new), scratch);
+            assert_eq!(least_model(&fv_new), scratch);
             // …and the delta evaluator reproduces it from the old
             // model plus the touched set.
             let inc = least_model_delta_flat(&fv_new, &old_model, &touched, &Budget::unlimited())
@@ -766,9 +770,9 @@ mod tests {
         let delta = GroundDelta::between(&g1, &g2);
         let touched = delta.touched_atoms(&g1, &g2);
         let c = CompId(0);
-        let old_model = least_model_flat(&FlatView::new(&g1, c));
+        let old_model = least_model(&FlatView::new(&g1, c));
         let fv = FlatView::new(&g2, c);
-        let full = least_model_flat(&fv);
+        let full = least_model(&fv);
         for steps in 0..16 {
             let eval =
                 least_model_delta_flat(&fv, &old_model, &touched, &Budget::with_steps(steps));
@@ -780,15 +784,218 @@ mod tests {
         }
     }
 
+    fn expect_model(w: &mut World, m: &Interpretation, lits: &[&str], n_atoms: usize) {
+        let want =
+            Interpretation::from_literals(lits.iter().map(|s| parse_ground_literal(w, s).unwrap()))
+                .unwrap();
+        assert_eq!(
+            m.render(w),
+            want.render(w),
+            "least model mismatch (n_atoms = {n_atoms})"
+        );
+    }
+
     #[test]
-    fn flatten_matches_direct_construction() {
-        let (_, g) = ground(FIG1);
-        for c in 0..g.order.len() {
-            let c = CompId(c as u32);
-            let view = View::new(&g, c);
-            let fv = flatten(&view);
-            assert_eq!(fv.len(), view.len());
-            assert_eq!(least_model_flat(&fv), crate::fixpoint::least_model(&view));
+    fn fig1_least_model_in_c1_is_i1() {
+        // The penguin does not fly in C1 (overruling); the pigeon does.
+        let (mut w, g) = ground(FIG1);
+        let v = FlatView::new(&g, CompId(1)); // c1
+        let m = least_model(&v);
+        expect_model(
+            &mut w,
+            &m,
+            &[
+                "bird(penguin)",
+                "bird(pigeon)",
+                "ground_animal(penguin)",
+                "-ground_animal(pigeon)",
+                "fly(pigeon)",
+                "-fly(penguin)",
+            ],
+            g.n_atoms,
+        );
+        assert!(m.is_total(g.n_atoms));
+    }
+
+    #[test]
+    fn fig1_least_model_in_c2_has_flying_penguin() {
+        // From C2's point of view the penguin flies: C1's exception is
+        // invisible above.
+        let (mut w, g) = ground(FIG1);
+        let v = FlatView::new(&g, CompId(0)); // c2
+        let m = least_model(&v);
+        expect_model(
+            &mut w,
+            &m,
+            &[
+                "bird(penguin)",
+                "bird(pigeon)",
+                "-ground_animal(penguin)",
+                "-ground_animal(pigeon)",
+                "fly(pigeon)",
+                "fly(penguin)",
+            ],
+            g.n_atoms,
+        );
+    }
+
+    #[test]
+    fn collapsed_fig1_defeats_instead() {
+        // P̂1 (Example 3): the least model leaves fly(penguin) and
+        // ground_animal(penguin) undefined.
+        let (mut w, g) = ground(
+            "bird(penguin). bird(pigeon).
+             fly(X) :- bird(X).
+             -ground_animal(X) :- bird(X).
+             ground_animal(penguin).
+             -fly(X) :- ground_animal(X).",
+        );
+        let v = FlatView::new(&g, CompId(0));
+        let m = least_model(&v);
+        expect_model(
+            &mut w,
+            &m,
+            &[
+                "bird(penguin)",
+                "bird(pigeon)",
+                "-ground_animal(pigeon)",
+                "fly(pigeon)",
+            ],
+            g.n_atoms,
+        );
+        let fp = parse_ground_literal(&mut w, "fly(penguin)").unwrap();
+        assert!(!m.holds(fp) && !m.holds(fp.complement()));
+    }
+
+    #[test]
+    fn fig2_defeating_gives_empty_model_in_c1() {
+        // P2 (Fig. 2): C3 and C2 are incomparable from C1; rich/poor
+        // defeat each other, so nothing about mimmo is derivable.
+        let (_, g) = ground(FIG2);
+        let c1 = CompId(2);
+        let v = FlatView::new(&g, c1);
+        let m = least_model(&v);
+        assert!(m.is_empty(), "got {:?}", m.len());
+    }
+
+    #[test]
+    fn fig2_component_views_differ() {
+        let (mut w, g) = ground(FIG2);
+        // In C3's own view, mimmo is rich and not poor.
+        let m3 = least_model(&FlatView::new(&g, CompId(0)));
+        expect_model(&mut w, &m3, &["rich(mimmo)", "-poor(mimmo)"], g.n_atoms);
+        // In C2's own view, mimmo is poor and not rich.
+        let m2 = least_model(&FlatView::new(&g, CompId(1)));
+        expect_model(&mut w, &m2, &["poor(mimmo)", "-rich(mimmo)"], g.n_atoms);
+    }
+
+    #[test]
+    fn naive_and_incremental_agree_on_examples() {
+        for src in [FIG1, FIG2, "a :- b. -a :- b. b.", P5] {
+            let (_, g) = ground(src);
+            for c in 0..g.order.len() {
+                let v = FlatView::new(&g, CompId(c as u32));
+                assert_eq!(
+                    least_model(&v),
+                    least_model_naive(&v),
+                    "engines disagree on {src} in component {c}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn eternal_attacker_blocks_derivation() {
+        // `a.` in upper component, `-a :- b.` in lower with b never
+        // derivable: `a` must NOT be in the least model of the lower
+        // component (the non-blocked lower rule overrules it), but IS in
+        // the upper component's own view.
+        let (mut w, g) = ground(
+            "module c2 { a. }
+             module c1 < c2 { -a :- b. }",
+        );
+        let a = parse_ground_literal(&mut w, "a").unwrap();
+        let m_upper = least_model(&FlatView::new(&g, CompId(0)));
+        assert!(m_upper.holds(a));
+        let m_lower = least_model(&FlatView::new(&g, CompId(1)));
+        assert!(!m_lower.holds(a));
+        assert!(m_lower.is_empty());
+    }
+
+    #[test]
+    fn loan_program_scenarios() {
+        // Fig. 3 with the three §1 scenarios.
+        let base = "module expert2 { take_loan :- inflation(X), X > 11. }
+             module expert4 { -take_loan :- loan_rate(X), X > 14. }
+             module expert3 < expert4 {
+                take_loan :- inflation(X), loan_rate(Y), X > Y + 2.
+             }
+             module myself < expert2, expert3 { %FACTS% }";
+
+        let check = |facts: &str| -> (World, Option<bool>) {
+            let src = base.replace("%FACTS%", facts);
+            let (mut w, g) = ground(&src);
+            let myself = CompId(3);
+            let m = least_model(&FlatView::new(&g, myself));
+            let tl = parse_ground_literal(&mut w, "take_loan").unwrap();
+            let val = if m.holds(tl) {
+                Some(true)
+            } else if m.holds(tl.complement()) {
+                Some(false)
+            } else {
+                None
+            };
+            (w, val)
+        };
+
+        // Scenario 0: no facts — nothing derivable.
+        assert_eq!(check("").1, None);
+        // Scenario 1: inflation(12) — expert2 fires, take_loan true.
+        assert_eq!(check("inflation(12).").1, Some(true));
+        // Scenario 2: inflation(12), loan_rate(16) — expert2 vs expert4
+        // defeat each other; undefined.
+        assert_eq!(check("inflation(12). loan_rate(16).").1, None);
+        // Scenario 3: inflation(19), loan_rate(16) — expert3 overrules
+        // expert4; take_loan true.
+        assert_eq!(check("inflation(19). loan_rate(16).").1, Some(true));
+    }
+
+    #[test]
+    fn p3_least_model_is_empty() {
+        // Example 3 tail: { a :- b.  -a :- b. } has least model ∅.
+        let (_, g) = ground("a :- b. -a :- b.");
+        let m = least_model(&FlatView::new(&g, CompId(0)));
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn example4_two_components_cwa() {
+        // P4 extended (Example 4): adding a component C2 above with
+        // facts -a., -b. makes {-a, -b} the least (assumption-free)
+        // model of C1's view.
+        let (mut w, g) = ground(
+            "module c2 { -a. -b. }
+             module c1 < c2 { a :- b. }",
+        );
+        let m = least_model(&FlatView::new(&g, CompId(1)));
+        expect_model(&mut w, &m, &["-a", "-b"], g.n_atoms);
+    }
+
+    #[test]
+    fn self_defeating_fact_pair() {
+        // p. and -p. in one component: mutual defeat, nothing derived.
+        let (_, g) = ground("p. -p.");
+        let m = least_model(&FlatView::new(&g, CompId(0)));
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn lower_fact_beats_upper_fact() {
+        let (mut w, g) = ground("module low < high { p. } module high { -p. }");
+        let low = CompId(0);
+        let m = least_model(&FlatView::new(&g, low));
+        let p = parse_ground_literal(&mut w, "p").unwrap();
+        assert!(m.holds(p));
+        assert!(!m.holds(p.complement()));
     }
 }

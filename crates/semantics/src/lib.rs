@@ -1,13 +1,13 @@
 //! # olp-semantics — the declarative semantics of ordered logic programs
 //!
 //! Implements §2 of *"Extending Logic Programming"* (Laenens, Saccà &
-//! Vermeir, SIGMOD 1990) over the ground programs produced by
-//! [`olp_ground`]:
+//! Vermeir, SIGMOD 1990) over the compiled component views of
+//! [`olp_ground`]: every routine here reads a [`olp_ground::FlatView`],
+//! the arena form of `ground(C*)` that also evaluates the five rule
+//! statuses of Definition 2 (applicable / applied / blocked /
+//! overruled / defeated).
 //!
 //! * [`Interpretation`] — consistent 3-valued assignments (`B_P ∪ ¬B_P`);
-//! * [`View`] — a compiled component view `ground(C*)` with the five
-//!   rule statuses of Definition 2 (applicable / applied / blocked /
-//!   overruled / defeated);
 //! * [`least_model`] — the least fixpoint of the ordered immediate
 //!   transformation `V_{P,C}` (Def. 4, Lemma 1, Prop. 1, Thm. 1b): the
 //!   least model, intersection of all models, assumption-free;
@@ -20,6 +20,8 @@
 //! * [`Decomposition`] — independent rule groups: product-form
 //!   enumeration ([`stable_models_decomposed`]), on by default in
 //!   [`stable_models`];
+//! * [`explain`] and [`prove`] — proof trees and refutations, and the
+//!   goal-directed prover over a query's relevance cone;
 //! * [`mod@reference`] — the definitions transcribed literally, kept as the
 //!   differential-testing oracles and ablation baselines.
 //!
@@ -28,8 +30,8 @@
 //! ```
 //! use olp_core::{CompId, World};
 //! use olp_parser::{parse_ground_literal, parse_program};
-//! use olp_ground::{ground_exhaustive, GroundConfig};
-//! use olp_semantics::{least_model, View};
+//! use olp_ground::{ground_exhaustive, FlatView, GroundConfig};
+//! use olp_semantics::least_model;
 //!
 //! let mut world = World::new();
 //! let prog = parse_program(&mut world, "
@@ -46,14 +48,14 @@
 //!
 //! // In the specific component c1 the penguin does not fly…
 //! let c1 = prog.component_by_name(world.syms.get("c1").unwrap()).unwrap();
-//! let m1 = least_model(&View::new(&ground, c1));
+//! let m1 = least_model(&FlatView::new(&ground, c1));
 //! let no_fly = parse_ground_literal(&mut world, "-fly(penguin)").unwrap();
 //! assert!(m1.holds(no_fly));
 //!
 //! // …while in the general component c2 it does (inheritance is
 //! // one-way: exceptions live below).
 //! let c2 = prog.component_by_name(world.syms.get("c2").unwrap()).unwrap();
-//! let m2 = least_model(&View::new(&ground, c2));
+//! let m2 = least_model(&FlatView::new(&ground, c2));
 //! assert!(m2.holds(no_fly.complement()));
 //! ```
 
@@ -79,7 +81,6 @@
 mod assumption;
 mod decomp;
 mod explain;
-mod fixpoint;
 mod flat_eval;
 mod model;
 mod prove;
@@ -87,7 +88,6 @@ pub mod reference;
 mod skeptical;
 mod stable;
 mod stable_solver;
-mod view;
 
 pub use assumption::{
     enabled_version, greatest_assumption_set, has_no_assumption_set, is_assumption_free, t_fixpoint,
@@ -97,15 +97,15 @@ pub use decomp::{
     GroupMemo,
 };
 pub use explain::{explain, explain_budgeted, explain_in, render_why, Fate, Proof, Why};
-pub use fixpoint::{least_model, least_model_budgeted};
 pub use flat_eval::{
-    flatten, least_model_delta_flat, least_model_flat, least_model_morsel,
+    least_model, least_model_budgeted, least_model_delta_flat, least_model_morsel,
     least_model_morsel_forced, MorselCfg,
 };
 pub use model::{check_model, is_model, ModelViolation};
 pub use olp_core::{
     Budget, Eval, Inconsistency, Interpretation, InterruptReason, Interrupted, Truth,
 };
+use olp_ground::{FlatIdx, FlatView};
 pub use prove::{prove, prove_budgeted, relevance_cone, relevance_cone_budgeted};
 pub use skeptical::{credulous_consequences, skeptical_consequences};
 pub use stable::{
@@ -115,7 +115,6 @@ pub use stable::{
 pub use stable_solver::{
     enumerate_assumption_free_propagating, enumerate_assumption_free_propagating_budgeted,
 };
-pub use view::{LocalIdx, View, ViewStats};
 
 /// Intersection of a non-empty family of interpretations, as literal
 /// sets (the empty family yields the empty interpretation).
@@ -131,6 +130,12 @@ pub fn interp_intersection(ms: &[Interpretation]) -> Interpretation {
         }
     }
     out
+}
+
+/// Every rule of the arena, in flat order: the rule set of the
+/// whole-view entry points.
+fn all_rules(fv: &FlatView) -> Vec<FlatIdx> {
+    (0..fv.len() as FlatIdx).collect()
 }
 
 /// Scaffolding shared by the unit tests.

@@ -10,36 +10,16 @@
 //!   either sign of it is overruled or defeated — a value may stay
 //!   undefined only when its derivations are suppressed.
 
-use crate::view::View;
 use olp_core::Interpretation;
 use olp_core::{AtomId, GLit, Sign};
+use olp_ground::{FlatIdx, FlatView};
 
-/// Checks Definition 3 for `m` in the component of `view`.
+/// Checks Definition 3 for `m` in the component of `fv`.
 ///
 /// `n_atoms` bounds the atom universe (use
 /// [`olp_ground::GroundProgram::n_atoms`]).
-pub fn is_model(view: &View, m: &Interpretation, n_atoms: usize) -> bool {
-    // (a) every literal in M is uncontradicted or re-confirmed.
-    for lit in m.literals() {
-        for &li in view.rules_with_head(lit.complement()) {
-            if !view.blocked(li, m) && !view.overruled_by_applied(li, m) {
-                return false;
-            }
-        }
-    }
-    // (b) undefined atoms have all their applicable derivations
-    // suppressed.
-    for atom in m.undefined_atoms(n_atoms) {
-        for sign in [Sign::Pos, Sign::Neg] {
-            let h = GLit::new(sign, atom);
-            for &li in view.rules_with_head(h) {
-                if view.applicable(li, m) && !view.overruled(li, m) && !view.defeated(li, m) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+pub fn is_model(fv: &FlatView, m: &Interpretation, n_atoms: usize) -> bool {
+    check_model(fv, m, n_atoms).is_ok()
 }
 
 /// Result of diagnosing why an interpretation is not a model; useful in
@@ -52,33 +32,40 @@ pub enum ModelViolation {
     Contradicted {
         /// The literal in `M`.
         lit: GLit,
-        /// The offending rule (local index in the view).
-        rule: u32,
+        /// The offending rule.
+        rule: FlatIdx,
     },
     /// Condition (b) fails: this atom is undefined but the given rule is
     /// applicable and neither overruled nor defeated.
     Underivable {
         /// The undefined atom.
         atom: AtomId,
-        /// The offending rule (local index in the view).
-        rule: u32,
+        /// The offending rule.
+        rule: FlatIdx,
     },
 }
 
 /// Like [`is_model`] but returns the first violation found.
-pub fn check_model(view: &View, m: &Interpretation, n_atoms: usize) -> Result<(), ModelViolation> {
+pub fn check_model(
+    fv: &FlatView,
+    m: &Interpretation,
+    n_atoms: usize,
+) -> Result<(), ModelViolation> {
+    // (a) every literal in M is uncontradicted or re-confirmed.
     for lit in m.literals() {
-        for &li in view.rules_with_head(lit.complement()) {
-            if !view.blocked(li, m) && !view.overruled_by_applied(li, m) {
-                return Err(ModelViolation::Contradicted { lit, rule: li });
+        for &f in fv.rules_with_head(lit.complement()) {
+            if !fv.blocked(f, m) && !fv.overruled_by_applied(f, m) {
+                return Err(ModelViolation::Contradicted { lit, rule: f });
             }
         }
     }
+    // (b) undefined atoms have all their applicable derivations
+    // suppressed.
     for atom in m.undefined_atoms(n_atoms) {
         for sign in [Sign::Pos, Sign::Neg] {
-            for &li in view.rules_with_head(GLit::new(sign, atom)) {
-                if view.applicable(li, m) && !view.overruled(li, m) && !view.defeated(li, m) {
-                    return Err(ModelViolation::Underivable { atom, rule: li });
+            for &f in fv.rules_with_head(GLit::new(sign, atom)) {
+                if fv.fires(f, m) {
+                    return Err(ModelViolation::Underivable { atom, rule: f });
                 }
             }
         }
@@ -96,7 +83,7 @@ mod tests {
     #[test]
     fn example3_i1_is_model_for_p1_in_c1() {
         let (mut w, g) = ground(FIG1);
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let i1 = interp(
             &mut w,
             &[
@@ -122,7 +109,7 @@ mod tests {
              ground_animal(penguin).
              -fly(X) :- ground_animal(X).",
         );
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let i1 = interp(
             &mut w,
             &[
@@ -155,7 +142,7 @@ mod tests {
         // (both positive: consistent). It is an interpretation but NOT a
         // model.
         let (mut w, g) = ground(FIG2);
-        let v = View::new(&g, CompId(2));
+        let v = FlatView::new(&g, CompId(2));
         let i2 = interp(&mut w, &["rich(mimmo)", "poor(mimmo)"]);
         assert!(!is_model(&v, &i2, g.n_atoms));
         // The empty interpretation IS a model for P2 in C1.
@@ -168,7 +155,7 @@ mod tests {
         // P3 = { a :- b.  -a :- b. }: models are exactly
         // {b}, {-b}, {a,-b}, {-a,-b} and {} among all interpretations.
         let (mut w, g) = ground("a :- b. -a :- b.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let a = parse_ground_literal(&mut w, "a").unwrap();
         let b = parse_ground_literal(&mut w, "b").unwrap();
         let mut models = Vec::new();
@@ -202,7 +189,7 @@ mod tests {
     #[test]
     fn least_fixpoint_is_always_a_model() {
         // Proposition 1 spot-check on several programs/components.
-        use crate::fixpoint::least_model;
+        use crate::least_model;
         for src in [
             FIG1,
             "a :- b. -a :- b.",
@@ -211,7 +198,7 @@ mod tests {
         ] {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
-                let v = View::new(&g, CompId(c as u32));
+                let v = FlatView::new(&g, CompId(c as u32));
                 let m = least_model(&v);
                 assert!(is_model(&v, &m, g.n_atoms), "lfp not a model for {src}");
             }
@@ -221,7 +208,7 @@ mod tests {
     #[test]
     fn violation_diagnostics() {
         let (mut w, g) = ground("a.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let empty = Interpretation::new();
         // `a.` applicable, unattacked, head undefined → (b) violated.
         assert!(matches!(

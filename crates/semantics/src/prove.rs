@@ -5,7 +5,7 @@
 //! firing depends positively on the derivability of its attackers'
 //! *blockers*), so instead of SLD-style resolution the procedure
 //! extracts the **relevance cone** of the query and runs the exact
-//! flat fixpoint on that fragment:
+//! worklist fixpoint on that fragment of the arena:
 //!
 //! * a queried literal pulls in every rule with that head;
 //! * an included rule pulls in (i) its body literals (their
@@ -19,13 +19,12 @@
 //! are closed over. Agreement with the global least model is
 //! property-tested in the crate tests and `tests/theorems.rs`.
 
-use crate::flat_eval::least_model_flat_cfg;
-use crate::view::{LocalIdx, View};
 use olp_core::{Budget, Eval, FxHashSet, GLit, InterruptReason, Interrupted};
+use olp_ground::{FlatIdx, FlatView};
 
-/// The set of view-local rule indices that can influence `query`.
-pub fn relevance_cone(view: &View, query: GLit) -> Vec<LocalIdx> {
-    relevance_cone_budgeted(view, query, &Budget::unlimited())
+/// The rules of the arena that can influence `query`, sorted.
+pub fn relevance_cone(fv: &FlatView, query: GLit) -> Vec<FlatIdx> {
+    relevance_cone_budgeted(fv, query, &Budget::unlimited())
         .expect("unlimited budget cannot interrupt")
 }
 
@@ -33,14 +32,14 @@ pub fn relevance_cone(view: &View, query: GLit) -> Vec<LocalIdx> {
 /// (a truncated cone would not be closed under influence edges), so an
 /// interruption yields `Err` rather than a partial cone.
 pub fn relevance_cone_budgeted(
-    view: &View,
+    fv: &FlatView,
     query: GLit,
     budget: &Budget,
-) -> Result<Vec<LocalIdx>, InterruptReason> {
+) -> Result<Vec<FlatIdx>, InterruptReason> {
     let mut lits: FxHashSet<GLit> = FxHashSet::default();
-    let mut rules: FxHashSet<LocalIdx> = FxHashSet::default();
+    let mut rules: FxHashSet<FlatIdx> = FxHashSet::default();
     let mut lit_stack = vec![query];
-    let mut rule_stack: Vec<LocalIdx> = Vec::new();
+    let mut rule_stack: Vec<FlatIdx> = Vec::new();
 
     while !lit_stack.is_empty() || !rule_stack.is_empty() {
         while let Some(l) = lit_stack.pop() {
@@ -48,39 +47,33 @@ pub fn relevance_cone_budgeted(
             if !lits.insert(l) {
                 continue;
             }
-            for &li in view.rules_with_head(l) {
-                rule_stack.push(li);
-            }
+            rule_stack.extend_from_slice(fv.rules_with_head(l));
         }
-        while let Some(li) = rule_stack.pop() {
+        while let Some(f) = rule_stack.pop() {
             budget.tick()?;
-            if !rules.insert(li) {
+            if !rules.insert(f) {
                 continue;
             }
-            for &b in &view.rule(li).body {
+            for &b in fv.body(f) {
                 lit_stack.push(b);
                 lit_stack.push(b.complement());
             }
-            for &a in view.overrulers(li) {
-                rule_stack.push(a);
-            }
-            for &a in view.defeaters(li) {
-                rule_stack.push(a);
-            }
+            rule_stack.extend_from_slice(fv.overrulers(f));
+            rule_stack.extend_from_slice(fv.defeaters(f));
             if !lit_stack.is_empty() {
                 break; // drain literals first to keep the sets tight
             }
         }
     }
-    let mut out: Vec<LocalIdx> = rules.into_iter().collect();
+    let mut out: Vec<FlatIdx> = rules.into_iter().collect();
     out.sort_unstable();
     Ok(out)
 }
 
 /// Whether `query` is in the least model of the view, computed
 /// goal-directedly over its relevance cone.
-pub fn prove(view: &View, query: GLit) -> bool {
-    prove_budgeted(view, query, &Budget::unlimited()).into_value()
+pub fn prove(fv: &FlatView, query: GLit) -> bool {
+    prove_budgeted(fv, query, &Budget::unlimited()).into_value()
 }
 
 /// [`prove`] under a [`Budget`].
@@ -90,8 +83,8 @@ pub fn prove(view: &View, query: GLit) -> bool {
 /// in the least model (the restricted fixpoint's partial result is a
 /// subset of its least fixpoint); a partial `false` means "not proven
 /// within budget", never "disproven".
-pub fn prove_budgeted(view: &View, query: GLit, budget: &Budget) -> Eval<bool> {
-    let cone = match relevance_cone_budgeted(view, query, budget) {
+pub fn prove_budgeted(fv: &FlatView, query: GLit, budget: &Budget) -> Eval<bool> {
+    let cone = match relevance_cone_budgeted(fv, query, budget) {
         Ok(cone) => cone,
         // No fixpoint was run, so nothing is proven yet.
         Err(reason) => {
@@ -101,17 +94,16 @@ pub fn prove_budgeted(view: &View, query: GLit, budget: &Budget) -> Eval<bool> {
             })
         }
     };
-    // The cone is closed under every influence edge, so its flat arena
-    // (where rules outside it neither fire nor attack) decides `query`.
-    let rules: Vec<u32> = cone.iter().map(|&li| view.global_index(li)).collect();
-    let fv = olp_ground::FlatView::from_rules(view.gp, view.comp, &rules);
-    least_model_flat_cfg(&fv, false, budget).map(|m| m.holds(query))
+    // The cone is closed under every influence edge, so the fixpoint
+    // over its rules alone (rules outside it neither fire nor attack)
+    // decides `query`.
+    crate::reference::least_model_over(fv, &cone, budget).map(|m| m.holds(query))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixpoint::least_model;
+    use crate::least_model;
     use crate::test_util::ground;
     use olp_core::{AtomId, CompId, Sign, World};
     use olp_ground::{ground_exhaustive, GroundConfig};
@@ -125,7 +117,7 @@ mod tests {
              module c1 < c2 { ground_animal(penguin). -fly(X) :- ground_animal(X). }",
         );
         for ci in 0..2 {
-            let v = View::new(&g, CompId(ci));
+            let v = FlatView::new(&g, CompId(ci));
             let m = least_model(&v);
             for atom in 0..g.n_atoms as u32 {
                 for sign in [Sign::Pos, Sign::Neg] {
@@ -144,7 +136,7 @@ mod tests {
             "a :- b. b.
              x :- y. y. -x :- z. z :- y.",
         );
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         let a = parse_ground_literal(&mut w, "a").unwrap();
         let cone = relevance_cone(&v, a);
         assert_eq!(cone.len(), 2, "only `a :- b` and `b.`");
@@ -160,7 +152,7 @@ mod tests {
              module c1 < c2 { -a :- b. -b. }",
         );
         let c1 = CompId(1);
-        let v = View::new(&g, c1);
+        let v = FlatView::new(&g, c1);
         let a = parse_ground_literal(&mut w, "a").unwrap();
         let cone = relevance_cone(&v, a);
         // a., -a :- b, -b., b :- c (deriving b decides the attacker's
@@ -177,7 +169,7 @@ mod tests {
             "module c2 { p. q. }
              module c1 < c2 { -p :- q. }",
         );
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let p = parse_ground_literal(&mut w, "p").unwrap();
         // q is derivable, -p :- q is never blocked (no -q rules), so it
         // permanently overrules `p.`.
@@ -237,7 +229,7 @@ mod tests {
             }
             let g = ground_exhaustive(&mut w, &prog, &GroundConfig::default()).unwrap();
             for ci in 0..2 {
-                let v = View::new(&g, CompId(ci));
+                let v = FlatView::new(&g, CompId(ci));
                 let m = least_model(&v);
                 for atom in 0..g.n_atoms as u32 {
                     for sign in [Sign::Pos, Sign::Neg] {

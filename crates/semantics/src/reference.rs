@@ -5,7 +5,8 @@
 //! * [`v_step`] / [`least_model_naive`] — Definition 4 verbatim: full
 //!   passes of `V_{P,C}` from `∅` until nothing changes;
 //! * [`least_model_monolithic`] — the interpretive worklist over the
-//!   whole view in one piece (no strata, no arenas);
+//!   whole view in one piece (no strata); the prover runs the same
+//!   worklist over its relevance cone;
 //! * [`enumerate_models`] — Definition 3 by brute force over the atom
 //!   universe (3^n; small programs only);
 //! * [`enumerate_assumption_free`] — Definitions 3 and 6–8 by a plain
@@ -14,24 +15,25 @@
 //! * [`stable_models_monolithic_budgeted`] — the propagating search
 //!   over the whole view without the group split (ablation B8).
 //!
-//! None of these is on a production path; the knowledge base evaluates
-//! through the flat arenas and the decomposed enumerators.
+//! Apart from the prover's cone fixpoint, none of these is on a
+//! production path; the knowledge base evaluates through the
+//! stratified fixpoint and the decomposed enumerators.
 
 use crate::assumption::is_assumption_free;
 use crate::model::is_model;
 use crate::stable::maximal_only;
-use crate::view::View;
 use olp_core::{AtomId, Budget, Eval, GLit, Interpretation, InterruptReason, Interrupted};
+use olp_ground::{FlatIdx, FlatView};
 
 /// One application of `V_{P,C}` to `i`.
 ///
 /// Returns the *new* interpretation `V(i)` (not the union — `V` is not
 /// inflationary in general, but its iterates from `∅` are increasing).
-pub fn v_step(view: &View, i: &Interpretation) -> Interpretation {
+pub fn v_step(fv: &FlatView, i: &Interpretation) -> Interpretation {
     let mut out = Interpretation::new();
-    for (li, r) in view.rules() {
-        if view.applicable(li, i) && !view.overruled(li, i) && !view.defeated(li, i) {
-            out.insert(r.head)
+    for f in 0..fv.len() as FlatIdx {
+        if fv.fires(f, i) {
+            out.insert(fv.head(f))
                 .expect("V preserves consistency (Lemma 1)");
         }
     }
@@ -39,8 +41,8 @@ pub fn v_step(view: &View, i: &Interpretation) -> Interpretation {
 }
 
 /// Least fixpoint of `V_{P,C}` by naive iteration from `∅`.
-pub fn least_model_naive(view: &View) -> Interpretation {
-    least_model_naive_budgeted(view, &Budget::unlimited()).into_value()
+pub fn least_model_naive(fv: &FlatView) -> Interpretation {
+    least_model_naive_budgeted(fv, &Budget::unlimited()).into_value()
 }
 
 /// [`least_model_naive`] under a [`Budget`].
@@ -48,20 +50,20 @@ pub fn least_model_naive(view: &View) -> Interpretation {
 /// On interruption the partial result is the **last completed
 /// iterate** `V^k(∅)`. The iterates from `∅` are increasing (Lemma 1),
 /// so that iterate is a sound under-approximation of the least model.
-pub fn least_model_naive_budgeted(view: &View, budget: &Budget) -> Eval<Interpretation> {
+pub fn least_model_naive_budgeted(fv: &FlatView, budget: &Budget) -> Eval<Interpretation> {
     let mut cur = Interpretation::new();
     let mut ticker = budget.ticker();
     loop {
         let mut out = Interpretation::new();
-        for (li, r) in view.rules() {
+        for f in 0..fv.len() as FlatIdx {
             if let Err(reason) = ticker.tick() {
                 return Eval::Interrupted(Interrupted {
                     reason,
                     partial: cur,
                 });
             }
-            if view.applicable(li, &cur) && !view.overruled(li, &cur) && !view.defeated(li, &cur) {
-                out.insert(r.head)
+            if fv.fires(f, &cur) {
+                out.insert(fv.head(f))
                     .expect("V preserves consistency (Lemma 1)");
             }
         }
@@ -73,44 +75,65 @@ pub fn least_model_naive_budgeted(view: &View, budget: &Budget) -> Eval<Interpre
 }
 
 /// Least fixpoint of `V_{P,C}` by a single interpretive worklist over
-/// the whole view — no stratification, no flat arenas.
-pub fn least_model_monolithic(view: &View) -> Interpretation {
-    least_model_monolithic_budgeted(view, &Budget::unlimited()).into_value()
+/// the whole view — no stratification.
+pub fn least_model_monolithic(fv: &FlatView) -> Interpretation {
+    least_model_monolithic_budgeted(fv, &Budget::unlimited()).into_value()
 }
 
 /// [`least_model_monolithic`] under a [`Budget`]: per-rule counters of
 /// unsatisfied body literals and of still-active (non-blocked)
 /// overrulers/defeaters; deriving a literal decrements counters via the
-/// view's body index and transposed attack lists. Each rule/literal is
+/// watch lists and transposed attack lists. Each rule/literal is
 /// touched O(1) times per edge, so the fixpoint is linear in the size
 /// of the ground view.
 ///
 /// On interruption the partial result contains only literals already
 /// derived by fired rules, i.e. a prefix of the monotone worklist
 /// closure — always a subset of the unbudgeted least model.
-pub fn least_model_monolithic_budgeted(view: &View, budget: &Budget) -> Eval<Interpretation> {
-    let n = view.len();
-    let mut unsat = vec![0u32; n];
-    let mut over = vec![0u32; n];
-    let mut defeat = vec![0u32; n];
+pub fn least_model_monolithic_budgeted(fv: &FlatView, budget: &Budget) -> Eval<Interpretation> {
+    least_model_over(fv, &crate::all_rules(fv), budget)
+}
+
+/// The worklist fixpoint over `rules` (sorted), a subset of the arena
+/// closed under attack and body-derivation edges: rules outside it
+/// neither fire nor attack.
+pub(crate) fn least_model_over(
+    fv: &FlatView,
+    rules: &[FlatIdx],
+    budget: &Budget,
+) -> Eval<Interpretation> {
+    let n = rules.len();
+    let whole = n == fv.len();
+    // Position of a flat rule in `rules`, if it is in the subset.
+    let local = |f: FlatIdx| {
+        if whole {
+            Some(f as usize)
+        } else {
+            rules.binary_search(&f).ok()
+        }
+    };
+    let mut unsat: Vec<u32> = rules.iter().map(|&f| fv.body(f).len() as u32).collect();
+    let mut over: Vec<u32> = rules
+        .iter()
+        .map(|&f| fv.overrulers(f).len() as u32)
+        .collect();
+    let mut defeat: Vec<u32> = rules
+        .iter()
+        .map(|&f| fv.defeaters(f).len() as u32)
+        .collect();
     let mut blocked = vec![false; n];
     let mut fired = vec![false; n];
-    for (li, r) in view.rules() {
-        unsat[li as usize] = r.body.len() as u32;
-        over[li as usize] = view.overrulers(li).len() as u32;
-        defeat[li as usize] = view.defeaters(li).len() as u32;
-    }
     let mut i = Interpretation::new();
     let mut queue: Vec<GLit> = Vec::new();
     let mut ticker = budget.ticker();
     // A rule fires once its body holds and every attacker is blocked;
     // both only ever become true (monotone).
     macro_rules! try_fire {
-        ($li:expr) => {{
-            let l = $li as usize;
+        ($l:expr) => {{
+            let l = $l;
             if unsat[l] == 0 && over[l] == 0 && defeat[l] == 0 && !fired[l] {
                 fired[l] = true;
-                let head = view.rule($li).head;
+                let head = fv.head(rules[l]);
                 if i.insert(head).expect("V preserves consistency") {
                     queue.push(head);
                 }
@@ -119,11 +142,11 @@ pub fn least_model_monolithic_budgeted(view: &View, budget: &Budget) -> Eval<Int
     }
     let res = 'work: {
         // Seed: rules with empty bodies and no attackers at all.
-        for li in 0..n as u32 {
+        for l in 0..n {
             if let Err(reason) = ticker.tick() {
                 break 'work Err(reason);
             }
-            try_fire!(li);
+            try_fire!(l);
         }
         while let Some(lit) = queue.pop() {
             if let Err(reason) = ticker.tick() {
@@ -131,26 +154,34 @@ pub fn least_model_monolithic_budgeted(view: &View, budget: &Budget) -> Eval<Int
             }
             // 1. Body satisfaction: rules with `lit` in the body get
             //    closer to applicability.
-            for &li in view.rules_with_body_lit(lit) {
-                unsat[li as usize] -= 1;
-                try_fire!(li);
+            for l in fv.watchers(lit).iter().filter_map(|&w| local(w)) {
+                unsat[l] -= 1;
+                try_fire!(l);
             }
             // 2. Blocking: rules with the *complement* of `lit` in the
             //    body become blocked; their victims lose an attacker.
-            for &li in view.rules_with_body_lit(lit.complement()) {
-                if blocked[li as usize] {
+            for l in fv
+                .watchers(lit.complement())
+                .iter()
+                .filter_map(|&w| local(w))
+            {
+                if blocked[l] {
                     continue;
                 }
                 if let Err(reason) = ticker.tick() {
                     break 'work Err(reason);
                 }
-                blocked[li as usize] = true;
-                for &v in view.victims_overrule(li) {
-                    over[v as usize] -= 1;
+                blocked[l] = true;
+                for v in fv
+                    .victims_overrule(rules[l])
+                    .iter()
+                    .filter_map(|&v| local(v))
+                {
+                    over[v] -= 1;
                     try_fire!(v);
                 }
-                for &v in view.victims_defeat(li) {
-                    defeat[v as usize] -= 1;
+                for v in fv.victims_defeat(rules[l]).iter().filter_map(|&v| local(v)) {
+                    defeat[v] -= 1;
                     try_fire!(v);
                 }
             }
@@ -172,8 +203,8 @@ pub fn least_model_monolithic_budgeted(view: &View, budget: &Budget) -> Eval<Int
 /// Exact but exponential in the number of derivable atoms; intended for
 /// programs whose *contested* part is small (the paper's examples, the
 /// benchmark generators). The result always contains the least model.
-pub fn enumerate_assumption_free(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    enumerate_assumption_free_budgeted(view, n_atoms, &Budget::unlimited(), None).into_value()
+pub fn enumerate_assumption_free(fv: &FlatView) -> Vec<Interpretation> {
+    enumerate_assumption_free_budgeted(fv, &Budget::unlimited(), None).into_value()
 }
 
 /// [`enumerate_assumption_free`] under a [`Budget`], optionally capped
@@ -184,12 +215,12 @@ pub fn enumerate_assumption_free(view: &View, n_atoms: usize) -> Vec<Interpretat
 /// partial list is always a subset of the unbudgeted enumeration —
 /// just possibly incomplete.
 pub fn enumerate_assumption_free_budgeted(
-    view: &View,
-    _n_atoms: usize,
+    fv: &FlatView,
     budget: &Budget,
     max_models: Option<usize>,
 ) -> Eval<Vec<Interpretation>> {
-    let (d, atoms) = match crate::stable::branch_space(view, budget) {
+    let all = crate::all_rules(fv);
+    let (d, atoms) = match crate::stable::branch_space(fv, &all, budget) {
         Ok(space) => space,
         Err(reason) => {
             return Eval::Interrupted(Interrupted {
@@ -201,7 +232,7 @@ pub fn enumerate_assumption_free_budgeted(
 
     let mut out = Vec::new();
     let accept = |m: &Interpretation| {
-        crate::stable::is_model_for_af_search(view, m) && is_assumption_free(view, m)
+        crate::stable::is_model_for_af_search(fv, &all, m) && is_assumption_free(fv, m)
     };
     let cap = max_models.unwrap_or(usize::MAX);
     let mut cur = Interpretation::new();
@@ -263,7 +294,7 @@ fn search(
 /// 3^n worst case — use on small programs (the paper's examples, the
 /// Prop. 2 validation suite).
 pub fn enumerate_models(
-    view: &View,
+    fv: &FlatView,
     n_atoms: usize,
     superset: Option<&Interpretation>,
 ) -> Vec<Interpretation> {
@@ -273,7 +304,7 @@ pub fn enumerate_models(
         .filter(|&a| cur.undefined(a))
         .collect();
     let mut out = Vec::new();
-    let accept = |m: &Interpretation| is_model(view, m, n_atoms);
+    let accept = |m: &Interpretation| is_model(fv, m, n_atoms);
     search(
         &free,
         &|_| true,
@@ -289,8 +320,8 @@ pub fn enumerate_models(
 
 /// [`crate::stable_models`] via the reference (non-propagating)
 /// enumerator: the maximal members of [`enumerate_assumption_free`].
-pub fn stable_models_naive(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    maximal_only(enumerate_assumption_free(view, n_atoms))
+pub fn stable_models_naive(fv: &FlatView) -> Vec<Interpretation> {
+    maximal_only(enumerate_assumption_free(fv))
 }
 
 /// Stable models by one propagating search over the whole view,
@@ -298,13 +329,12 @@ pub fn stable_models_naive(view: &View, n_atoms: usize) -> Vec<Interpretation> {
 /// *assumption-free* models explored. Same anytime contract as
 /// [`crate::stable_models_decomposed`].
 pub fn stable_models_monolithic_budgeted(
-    view: &View,
-    n_atoms: usize,
+    fv: &FlatView,
     budget: &Budget,
     max_models: Option<usize>,
 ) -> Eval<Vec<Interpretation>> {
     crate::stable::maximal_of(crate::enumerate_assumption_free_propagating_budgeted(
-        view, n_atoms, budget, max_models,
+        fv, budget, max_models,
     ))
 }
 
@@ -326,7 +356,7 @@ mod tests {
         )
         .unwrap();
         let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
-        let v = View::new(&g, CompId(2));
+        let v = FlatView::new(&g, CompId(2));
         let full = crate::least_model(&v);
         assert_eq!(least_model_monolithic(&v), full);
         assert_eq!(least_model_naive(&v), full);

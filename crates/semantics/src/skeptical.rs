@@ -25,21 +25,20 @@
 
 use crate::interp_intersection;
 use crate::stable::stable_models;
-use crate::view::View;
 use olp_core::Interpretation;
+use olp_ground::FlatView;
 
 /// The literals true in **every** stable model of the view.
-pub fn skeptical_consequences(view: &View, n_atoms: usize) -> Interpretation {
-    let stable = stable_models(view, n_atoms);
-    interp_intersection(&stable)
+pub fn skeptical_consequences(fv: &FlatView) -> Interpretation {
+    interp_intersection(&stable_models(fv))
 }
 
 /// The literals true in **some** stable model (credulous/brave
 /// consequences). The union of stable models may contain complementary
 /// literals (different models choose differently), so the result is a
 /// sorted literal list rather than an [`Interpretation`].
-pub fn credulous_consequences(view: &View, n_atoms: usize) -> Vec<olp_core::GLit> {
-    let mut out: Vec<olp_core::GLit> = stable_models(view, n_atoms)
+pub fn credulous_consequences(fv: &FlatView) -> Vec<olp_core::GLit> {
+    let mut out: Vec<olp_core::GLit> = stable_models(fv)
         .iter()
         .flat_map(|m| m.literals().collect::<Vec<_>>())
         .collect();
@@ -51,7 +50,7 @@ pub fn credulous_consequences(view: &View, n_atoms: usize) -> Vec<olp_core::GLit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixpoint::least_model;
+    use crate::least_model;
     use crate::test_util::{ground, P5};
     use olp_core::CompId;
     use olp_parser::parse_ground_literal;
@@ -61,8 +60,8 @@ mod tests {
         // Example 5: stable models {a,¬b,c} and {¬a,b,c}; the skeptical
         // consequences are {c} — here equal to the least model.
         let (w, g) = ground(P5);
-        let v = View::new(&g, CompId(1));
-        let sk = skeptical_consequences(&v, g.n_atoms);
+        let v = FlatView::new(&g, CompId(1));
+        let sk = skeptical_consequences(&v);
         assert_eq!(sk.render(&w), "{c}");
         assert_eq!(sk, least_model(&v));
     }
@@ -78,10 +77,10 @@ mod tests {
             "module c2 { a. b. }
              module c1 < c2 { -a :- b. -b :- a. r :- a. r :- b. }",
         );
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         let lm = least_model(&v);
         assert!(lm.is_empty(), "the tie leaves the least model empty");
-        let sk = skeptical_consequences(&v, g.n_atoms);
+        let sk = skeptical_consequences(&v);
         let r = parse_ground_literal(&mut w, "r").unwrap();
         assert!(sk.holds(r), "r holds in both stable models");
         let a = parse_ground_literal(&mut w, "a").unwrap();
@@ -94,15 +93,15 @@ mod tests {
             "module c2 { a. b. }
              module c1 < c2 { -a :- b. -b :- a. r :- a. r :- b. }",
         );
-        let v = View::new(&g, CompId(1));
-        let cred = credulous_consequences(&v, g.n_atoms);
+        let v = FlatView::new(&g, CompId(1));
+        let cred = credulous_consequences(&v);
         let a = parse_ground_literal(&mut w, "a").unwrap();
         let b = parse_ground_literal(&mut w, "b").unwrap();
         // Both a and ¬a are credulously true (and likewise b).
         assert!(cred.contains(&a) && cred.contains(&a.complement()));
         assert!(cred.contains(&b) && cred.contains(&b.complement()));
         // Skeptical ⊆ credulous.
-        let sk = skeptical_consequences(&v, g.n_atoms);
+        let sk = skeptical_consequences(&v);
         for l in sk.literals() {
             assert!(cred.contains(&l));
         }
@@ -142,9 +141,9 @@ mod tests {
         ] {
             let (_, g) = ground(src);
             for ci in 0..g.order.len() {
-                let v = View::new(&g, CompId(ci as u32));
+                let v = FlatView::new(&g, CompId(ci as u32));
                 assert!(
-                    least_model(&v).is_subset(&skeptical_consequences(&v, g.n_atoms)),
+                    least_model(&v).is_subset(&skeptical_consequences(&v)),
                     "{src}"
                 );
             }

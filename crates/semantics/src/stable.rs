@@ -15,9 +15,9 @@
 //!   universe and is meant for small `n` only.
 
 use crate::model::is_model;
-use crate::view::View;
 use olp_core::Interpretation;
 use olp_core::{AtomId, Budget, Eval, FxHashSet, GLit, InterruptReason, Interrupted};
+use olp_ground::{FlatIdx, FlatView};
 
 /// The derivability closure `D` of a view: the `T`-fixpoint of all its
 /// rules with statuses ignored. Every assumption-free model is `⊆ D`
@@ -25,27 +25,29 @@ use olp_core::{AtomId, Budget, Eval, FxHashSet, GLit, InterruptReason, Interrupt
 /// the model, inductively grounding out in facts). Unlike
 /// [`crate::assumption::t_fixpoint`] it tolerates complementary heads —
 /// it is a *bound*, not an interpretation.
-pub fn derivability_closure(view: &View) -> FxHashSet<GLit> {
-    branch_space(view, &Budget::unlimited())
+pub fn derivability_closure(fv: &FlatView) -> FxHashSet<GLit> {
+    branch_space(fv, &crate::all_rules(fv), &Budget::unlimited())
         .expect("unlimited budget cannot interrupt")
         .0
 }
 
-/// The search space of assumption-free enumeration: the derivability
-/// closure `D` and its atoms, sorted — the only atoms worth branching
-/// on (each may take the values whose signs `D` contains, or stay
-/// undefined).
+/// The search space of assumption-free enumeration over `rules`: the
+/// derivability closure `D` and its atoms, sorted — the only atoms
+/// worth branching on (each may take the values whose signs `D`
+/// contains, or stay undefined).
 pub(crate) fn branch_space(
-    view: &View,
+    fv: &FlatView,
+    rules: &[FlatIdx],
     budget: &Budget,
 ) -> Result<(FxHashSet<GLit>, Vec<AtomId>), InterruptReason> {
     let mut d: FxHashSet<GLit> = FxHashSet::default();
     loop {
         let mut changed = false;
-        for (_, r) in view.rules() {
+        for &f in rules {
             budget.tick()?;
-            if !d.contains(&r.head) && r.body.iter().all(|b| d.contains(b)) {
-                d.insert(r.head);
+            let h = fv.head(f);
+            if !d.contains(&h) && fv.body(f).iter().all(|b| d.contains(b)) {
+                d.insert(h);
                 changed = true;
             }
         }
@@ -67,28 +69,22 @@ pub(crate) fn branch_space(
 /// is equivalent to "no rule with an undefined head atom is applicable
 /// yet unattacked", because atoms with no rules satisfy (b) vacuously.
 /// This avoids needing an `n_atoms` bound and is exact for any
-/// interpretation (the AF search and the propagating solver both use
-/// it).
-pub(crate) fn is_model_for_af_search(view: &View, m: &Interpretation) -> bool {
+/// interpretation over the atoms of `rules`, a rule set closed under
+/// the rules that mention its atoms (a decomposition group, or the
+/// whole arena). The AF search and the propagating solver both use it.
+pub(crate) fn is_model_for_af_search(fv: &FlatView, rules: &[FlatIdx], m: &Interpretation) -> bool {
     // (a) over the literals of m.
     for lit in m.literals() {
-        for &li in view.rules_with_head(lit.complement()) {
-            if !view.blocked(li, m) && !view.overruled_by_applied(li, m) {
+        for &f in fv.rules_with_head(lit.complement()) {
+            if !fv.blocked(f, m) && !fv.overruled_by_applied(f, m) {
                 return false;
             }
         }
     }
     // (b) over rules with undefined heads.
-    for (li, r) in view.rules() {
-        if m.undefined(r.head.atom())
-            && view.applicable(li, m)
-            && !view.overruled(li, m)
-            && !view.defeated(li, m)
-        {
-            return false;
-        }
-    }
-    true
+    rules
+        .iter()
+        .all(|&f| !m.undefined(fv.head(f).atom()) || !fv.fires(f, m))
 }
 
 /// Keeps only the maximal interpretations under literal-set inclusion.
@@ -135,15 +131,14 @@ pub(crate) fn maximal_of(eval: Eval<Vec<Interpretation>>) -> Eval<Vec<Interpreta
 /// ([`crate::stable_models_decomposed`], which also takes a budget, a
 /// cap and a group memo); [`crate::reference::stable_models_naive`] is
 /// the differential-testing oracle.
-pub fn stable_models(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    crate::decomp::stable_models_decomposed(view, n_atoms, &Budget::unlimited(), None, None)
-        .into_value()
+pub fn stable_models(fv: &FlatView) -> Vec<Interpretation> {
+    crate::decomp::stable_models_decomposed(fv, &Budget::unlimited(), None, None).into_value()
 }
 
 /// Whether a **total** model exists over `0..n_atoms` (Definition 5a).
 /// Exponential; small programs only.
-pub fn has_total_model(view: &View, n_atoms: usize) -> bool {
-    crate::reference::enumerate_models(view, n_atoms, None)
+pub fn has_total_model(fv: &FlatView, n_atoms: usize) -> bool {
+    crate::reference::enumerate_models(fv, n_atoms, None)
         .iter()
         .any(|m| m.is_total(n_atoms))
 }
@@ -151,8 +146,8 @@ pub fn has_total_model(view: &View, n_atoms: usize) -> bool {
 /// Extends a model to an **exhaustive** model (Proposition 2): a model
 /// that is a proper subset of no other model. Exact via enumeration of
 /// superset models; exponential; small programs only.
-pub fn extend_to_exhaustive(view: &View, m: &Interpretation, n_atoms: usize) -> Interpretation {
-    let supers = crate::reference::enumerate_models(view, n_atoms, Some(m));
+pub fn extend_to_exhaustive(fv: &FlatView, m: &Interpretation, n_atoms: usize) -> Interpretation {
+    let supers = crate::reference::enumerate_models(fv, n_atoms, Some(m));
     // `m` itself is among the candidates when it is a model; Prop. 2
     // guarantees a maximal one exists.
     maximal_only(supers)
@@ -163,11 +158,11 @@ pub fn extend_to_exhaustive(view: &View, m: &Interpretation, n_atoms: usize) -> 
 
 /// Whether `m` is an exhaustive model (Definition 5b): a model with no
 /// proper superset model. Exponential; small programs only.
-pub fn is_exhaustive(view: &View, m: &Interpretation, n_atoms: usize) -> bool {
-    if !is_model(view, m, n_atoms) {
+pub fn is_exhaustive(fv: &FlatView, m: &Interpretation, n_atoms: usize) -> bool {
+    if !is_model(fv, m, n_atoms) {
         return false;
     }
-    crate::reference::enumerate_models(view, n_atoms, Some(m))
+    crate::reference::enumerate_models(fv, n_atoms, Some(m))
         .iter()
         .all(|n| !m.is_proper_subset(n))
 }
@@ -175,7 +170,7 @@ pub fn is_exhaustive(view: &View, m: &Interpretation, n_atoms: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixpoint::least_model;
+    use crate::least_model;
     use crate::reference::{enumerate_assumption_free, enumerate_models};
     use crate::test_util::{ground, renders, FIG2, P5};
     use olp_core::{AtomId, CompId};
@@ -184,11 +179,11 @@ mod tests {
     #[test]
     fn example5_two_stable_models() {
         let (w, g) = ground(P5);
-        let v = View::new(&g, CompId(1));
-        let af = enumerate_assumption_free(&v, g.n_atoms);
+        let v = FlatView::new(&g, CompId(1));
+        let af = enumerate_assumption_free(&v);
         // {c} is assumption-free but not stable.
         assert!(renders(&w, &af).contains(&"{c}".to_string()));
-        let stable = stable_models(&v, g.n_atoms);
+        let stable = stable_models(&v);
         assert_eq!(
             renders(&w, &stable),
             vec!["{-a, b, c}".to_string(), "{-b, a, c}".to_string()]
@@ -198,17 +193,17 @@ mod tests {
     #[test]
     fn fig2_no_total_model_and_empty_stable() {
         let (w, g) = ground(FIG2);
-        let v = View::new(&g, CompId(2));
+        let v = FlatView::new(&g, CompId(2));
         assert!(!has_total_model(&v, g.n_atoms));
-        let stable = stable_models(&v, g.n_atoms);
+        let stable = stable_models(&v);
         assert_eq!(renders(&w, &stable), vec!["{}".to_string()]);
     }
 
     #[test]
     fn p4_stable_is_empty_without_cwa() {
         let (mut w, g) = ground("a :- b.");
-        let v = View::new(&g, CompId(0));
-        let stable = stable_models(&v, g.n_atoms);
+        let v = FlatView::new(&g, CompId(0));
+        let stable = stable_models(&v);
         assert_eq!(renders(&w, &stable), vec!["{}".to_string()]);
         // {-a,-b} is a model (an exhaustive one, even) but not
         // assumption-free, hence not stable.
@@ -231,9 +226,9 @@ mod tests {
         ] {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
-                let v = View::new(&g, CompId(c as u32));
+                let v = FlatView::new(&g, CompId(c as u32));
                 let lm = least_model(&v);
-                for s in stable_models(&v, g.n_atoms) {
+                for s in stable_models(&v) {
                     assert!(lm.is_subset(&s), "lfp ⊄ stable for {src}");
                 }
             }
@@ -244,7 +239,7 @@ mod tests {
     fn exhaustive_extension_exists_for_every_model() {
         // Proposition 2 on P3.
         let (_, g) = ground("a :- b. -a :- b.");
-        let v = View::new(&g, CompId(0));
+        let v = FlatView::new(&g, CompId(0));
         for m in enumerate_models(&v, g.n_atoms, None) {
             let e = extend_to_exhaustive(&v, &m, g.n_atoms);
             assert!(m.is_subset(&e));
@@ -259,10 +254,10 @@ mod tests {
                 -ground_animal(X) :- bird(X). }
              module c1 < c2 { ground_animal(penguin). -fly(X) :- ground_animal(X). }",
         );
-        let v = View::new(&g, CompId(1));
+        let v = FlatView::new(&g, CompId(1));
         assert!(has_total_model(&v, g.n_atoms));
         // The least model is total here, so it is the unique stable one.
-        let stable = stable_models(&v, g.n_atoms);
+        let stable = stable_models(&v);
         assert_eq!(stable.len(), 1);
         assert_eq!(stable[0], least_model(&v));
     }
@@ -276,9 +271,9 @@ mod tests {
         ] {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
-                let v = View::new(&g, CompId(c as u32));
+                let v = FlatView::new(&g, CompId(c as u32));
                 let lm = least_model(&v);
-                let af = enumerate_assumption_free(&v, g.n_atoms);
+                let af = enumerate_assumption_free(&v);
                 assert!(af.contains(&lm), "lfp missing from AF enumeration: {src}");
             }
         }

@@ -24,20 +24,22 @@
 //! independent rule groups are split off beforehand
 //! ([`crate::decomp`]), and the stable-model cap stays exact.
 
-use crate::assumption::is_assumption_free;
-use crate::view::{LocalIdx, View};
+use crate::assumption::assumption_free_in;
 use olp_core::{
     AtomId, Budget, Eval, FxHashMap, FxHashSet, GLit, Interpretation, InterruptReason, Interrupted,
     Sign,
 };
+use olp_ground::{FlatIdx, FlatView};
 
 const UNKNOWN: u8 = 0;
 const TRUE: u8 = 1;
 const FALSE: u8 = 2;
 const UNDEF: u8 = 3;
 
-struct Solver<'a, 'g> {
-    view: &'a View<'g>,
+struct Solver<'a> {
+    fv: &'a FlatView,
+    /// The rules searched: the whole arena or one decomposition group.
+    rules: &'a [FlatIdx],
     budget: &'a Budget,
     /// Stop enumerating once this many models have been found.
     cap: usize,
@@ -50,13 +52,14 @@ struct Solver<'a, 'g> {
     /// status can change when the branch atom in slot `s` is assigned —
     /// the rules watching the atom through their own body, their head,
     /// or the body of one of their potential overrulers/defeaters.
-    watchers: Vec<Vec<LocalIdx>>,
+    watchers: Vec<Vec<FlatIdx>>,
     out: Vec<Interpretation>,
 }
 
-impl<'a, 'g> Solver<'a, 'g> {
+impl<'a> Solver<'a> {
     fn new(
-        view: &'a View<'g>,
+        fv: &'a FlatView,
+        rules: &'a [FlatIdx],
         budget: &'a Budget,
         cap: usize,
         d: FxHashSet<GLit>,
@@ -69,31 +72,32 @@ impl<'a, 'g> Solver<'a, 'g> {
         // body atoms. Register the rule as a watcher of each (branch)
         // atom in that union, so propagation only ever revisits rules
         // that can actually have changed.
-        let mut watchers: Vec<Vec<LocalIdx>> = vec![Vec::new(); atoms.len()];
-        for (li, r) in view.rules() {
+        let mut watchers: Vec<Vec<FlatIdx>> = vec![Vec::new(); atoms.len()];
+        for &f in rules {
             let mut watched: Vec<usize> = Vec::new();
             let add = |a: AtomId, watched: &mut Vec<usize>| {
                 if let Some(&s) = slot.get(&a) {
                     watched.push(s);
                 }
             };
-            add(r.head.atom(), &mut watched);
-            for &b in &r.body {
+            add(fv.head(f).atom(), &mut watched);
+            for &b in fv.body(f) {
                 add(b.atom(), &mut watched);
             }
-            for &a in view.overrulers(li).iter().chain(view.defeaters(li)) {
-                for &b in &view.rule(a).body {
+            for &a in fv.overrulers(f).iter().chain(fv.defeaters(f)) {
+                for &b in fv.body(a) {
                     add(b.atom(), &mut watched);
                 }
             }
             watched.sort_unstable();
             watched.dedup();
             for s in watched {
-                watchers[s].push(li);
+                watchers[s].push(f);
             }
         }
         Solver {
-            view,
+            fv,
+            rules,
             budget,
             cap,
             d,
@@ -104,15 +108,10 @@ impl<'a, 'g> Solver<'a, 'g> {
         }
     }
 
-    /// All rules — the dirty seed for a fresh (root) assignment.
-    fn all_rules(&self) -> Vec<LocalIdx> {
-        (0..self.view.len() as LocalIdx).collect()
-    }
-
     /// Push every watcher of `atom` onto the dirty queue (called after
     /// `atom`'s assignment changed).
     #[inline]
-    fn wake(&self, atom: AtomId, dirty: &mut Vec<LocalIdx>) {
+    fn wake(&self, atom: AtomId, dirty: &mut Vec<FlatIdx>) {
         if let Some(&s) = self.slot.get(&atom) {
             dirty.extend_from_slice(&self.watchers[s]);
         }
@@ -157,18 +156,13 @@ impl<'a, 'g> Solver<'a, 'g> {
         }
     }
 
-    fn surely_applicable(&self, assign: &[u8], li: LocalIdx) -> bool {
-        self.view
-            .rule(li)
-            .body
-            .iter()
-            .all(|&b| self.surely_true(assign, b))
+    fn surely_applicable(&self, assign: &[u8], f: FlatIdx) -> bool {
+        self.fv.body(f).iter().all(|&b| self.surely_true(assign, b))
     }
 
-    fn surely_blocked(&self, assign: &[u8], li: LocalIdx) -> bool {
-        self.view
-            .rule(li)
-            .body
+    fn surely_blocked(&self, assign: &[u8], f: FlatIdx) -> bool {
+        self.fv
+            .body(f)
             .iter()
             .any(|&b| self.surely_refuted(assign, b))
     }
@@ -206,33 +200,26 @@ impl<'a, 'g> Solver<'a, 'g> {
     fn propagate(
         &self,
         assign: &mut [u8],
-        dirty: &mut Vec<LocalIdx>,
+        dirty: &mut Vec<FlatIdx>,
     ) -> Result<bool, InterruptReason> {
-        while let Some(li) = dirty.pop() {
+        while let Some(f) = dirty.pop() {
             self.budget.tick()?;
-            let r = self.view.rule(li);
+            let head = self.fv.head(f);
             // P1: forced firing.
-            if self.surely_applicable(assign, li)
-                && self
-                    .view
-                    .overrulers(li)
-                    .iter()
-                    .all(|&a| self.surely_blocked(assign, a))
-                && self
-                    .view
-                    .defeaters(li)
-                    .iter()
+            if self.surely_applicable(assign, f)
+                && (self.fv.overrulers(f).iter())
+                    .chain(self.fv.defeaters(f))
                     .all(|&a| self.surely_blocked(assign, a))
             {
-                match self.atom_state(assign, r.head.atom()) {
+                match self.atom_state(assign, head.atom()) {
                     UNKNOWN => {
-                        if !self.force_lit(assign, r.head) {
+                        if !self.force_lit(assign, head) {
                             return Ok(false);
                         }
-                        self.wake(r.head.atom(), dirty);
+                        self.wake(head.atom(), dirty);
                     }
                     s => {
-                        let want = match r.head.sign() {
+                        let want = match head.sign() {
                             Sign::Pos => TRUE,
                             Sign::Neg => FALSE,
                         };
@@ -244,13 +231,11 @@ impl<'a, 'g> Solver<'a, 'g> {
             }
             // P2: a true literal's unoverrulable contradictors must
             // be blocked.
-            if self.surely_true(assign, r.head.complement())
-                && self.view.overrulers(li).is_empty()
-                && !self.surely_blocked(assign, li)
+            if self.surely_true(assign, head.complement())
+                && self.fv.overrulers(f).is_empty()
+                && !self.surely_blocked(assign, f)
             {
-                let refutable: Vec<GLit> = r
-                    .body
-                    .iter()
+                let refutable: Vec<GLit> = (self.fv.body(f).iter())
                     .copied()
                     .filter(|&b| !self.complement_impossible(assign, b))
                     .collect();
@@ -272,7 +257,7 @@ impl<'a, 'g> Solver<'a, 'g> {
     fn search(
         &mut self,
         assign: &mut [u8],
-        dirty: &mut Vec<LocalIdx>,
+        dirty: &mut Vec<FlatIdx>,
     ) -> Result<(), InterruptReason> {
         if self.out.len() >= self.cap {
             return Err(InterruptReason::ModelCap);
@@ -296,8 +281,8 @@ impl<'a, 'g> Solver<'a, 'g> {
                         return Ok(()); // unreachable: one slot per atom
                     }
                 }
-                if crate::stable::is_model_for_af_search(self.view, &m)
-                    && is_assumption_free(self.view, &m)
+                if crate::stable::is_model_for_af_search(self.fv, self.rules, &m)
+                    && assumption_free_in(self.fv, self.rules, &m)
                 {
                     self.out.push(m);
                     if self.out.len() >= self.cap {
@@ -332,9 +317,8 @@ impl<'a, 'g> Solver<'a, 'g> {
 /// Enumerates every assumption-free model with unit propagation.
 /// Set-equal to [`crate::reference::enumerate_assumption_free`], usually
 /// much faster on programs with forced structure.
-pub fn enumerate_assumption_free_propagating(view: &View, n_atoms: usize) -> Vec<Interpretation> {
-    enumerate_assumption_free_propagating_budgeted(view, n_atoms, &Budget::unlimited(), None)
-        .into_value()
+pub fn enumerate_assumption_free_propagating(fv: &FlatView) -> Vec<Interpretation> {
+    enumerate_assumption_free_propagating_budgeted(fv, &Budget::unlimited(), None).into_value()
 }
 
 /// [`enumerate_assumption_free_propagating`] under a [`Budget`],
@@ -344,12 +328,25 @@ pub fn enumerate_assumption_free_propagating(view: &View, n_atoms: usize) -> Vec
 /// passed the exact leaf checks, so the partial list is a subset of
 /// the unbudgeted enumeration.
 pub fn enumerate_assumption_free_propagating_budgeted(
-    view: &View,
-    _n_atoms: usize,
+    fv: &FlatView,
     budget: &Budget,
     max_models: Option<usize>,
 ) -> Eval<Vec<Interpretation>> {
-    let (d, atoms) = match crate::stable::branch_space(view, budget) {
+    enumerate_in(fv, &crate::all_rules(fv), budget, max_models)
+}
+
+/// The propagating enumeration over a rule subset of the arena closed
+/// under the rules that mention its atoms — a decomposition group, or
+/// the whole arena. Every list the search walks (rules by head,
+/// attackers, watchers of a group atom) stays inside such a subset, so
+/// the search costs what the subset's rules cost.
+pub(crate) fn enumerate_in(
+    fv: &FlatView,
+    rules: &[FlatIdx],
+    budget: &Budget,
+    max_models: Option<usize>,
+) -> Eval<Vec<Interpretation>> {
+    let (d, atoms) = match crate::stable::branch_space(fv, rules, budget) {
         Ok(space) => space,
         Err(reason) => {
             return Eval::Interrupted(Interrupted {
@@ -359,9 +356,9 @@ pub fn enumerate_assumption_free_propagating_budgeted(
         }
     };
     let cap = max_models.unwrap_or(usize::MAX);
-    let mut solver = Solver::new(view, budget, cap, d, atoms);
+    let mut solver = Solver::new(fv, rules, budget, cap, d, atoms);
     let mut assign = vec![UNKNOWN; solver.atoms.len()];
-    let mut dirty = solver.all_rules();
+    let mut dirty = rules.to_vec();
     match solver.search(&mut assign, &mut dirty) {
         Ok(()) => Eval::Complete(solver.out),
         Err(reason) => Eval::Interrupted(Interrupted {
@@ -393,18 +390,17 @@ mod tests {
         ] {
             let (w, g) = ground(src);
             for ci in 0..g.order.len() {
-                let v = View::new(&g, CompId(ci as u32));
-                let naive = enumerate_assumption_free(&v, g.n_atoms);
-                let prop = enumerate_assumption_free_propagating(&v, g.n_atoms);
+                let v = FlatView::new(&g, CompId(ci as u32));
+                let naive = enumerate_assumption_free(&v);
+                let prop = enumerate_assumption_free_propagating(&v);
                 assert_eq!(
                     renders(&w, &naive),
                     renders(&w, &prop),
                     "AF sets differ on {src} in component {ci}"
                 );
-                let monolithic =
-                    stable_models_monolithic_budgeted(&v, g.n_atoms, &Budget::unlimited(), None);
+                let monolithic = stable_models_monolithic_budgeted(&v, &Budget::unlimited(), None);
                 assert_eq!(
-                    renders(&w, &stable_models(&v, g.n_atoms)),
+                    renders(&w, &stable_models(&v)),
                     renders(&w, monolithic.value()),
                     "stable sets differ on {src} in component {ci}"
                 );
@@ -424,8 +420,8 @@ mod tests {
             let _ = writeln!(src, "p{} :- p{}.", i, i - 1);
         }
         let (_, g) = ground(&src);
-        let v = View::new(&g, CompId(0));
-        let af = enumerate_assumption_free_propagating(&v, g.n_atoms);
+        let v = FlatView::new(&g, CompId(0));
+        let af = enumerate_assumption_free_propagating(&v);
         assert_eq!(af.len(), 1);
         assert_eq!(af[0].len(), 40);
     }

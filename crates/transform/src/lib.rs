@@ -15,9 +15,9 @@
 //!
 //! ```
 //! use olp_core::World;
-//! use olp_ground::{ground_exhaustive, GroundConfig};
+//! use olp_ground::{ground_exhaustive, FlatView, GroundConfig};
 //! use olp_parser::{parse_ground_literal, parse_program};
-//! use olp_semantics::{least_model, View};
+//! use olp_semantics::least_model;
 //! use olp_transform::ordered_version;
 //!
 //! // Example 6: the ancestor program under the explicit closed-world
@@ -31,7 +31,7 @@
 //! let rules = flat.components[0].rules.clone();
 //! let (ov, c) = ordered_version(&mut w, &rules);
 //! let g = ground_exhaustive(&mut w, &ov, &GroundConfig::default()).unwrap();
-//! let m = least_model(&View::new(&g, c));
+//! let m = least_model(&FlatView::new(&g, c));
 //! assert!(m.is_total(g.n_atoms));
 //! let q = parse_ground_literal(&mut w, "-anc(c,a)").unwrap();
 //! assert!(m.holds(q), "closed world: anc(c,a) is false");

@@ -168,9 +168,9 @@ pub fn three_level_version(world: &mut World, rules: &[Rule]) -> (OrderedProgram
 mod tests {
     use super::*;
     use olp_core::Truth;
-    use olp_ground::{ground_exhaustive, GroundConfig};
+    use olp_ground::{ground_exhaustive, FlatView, GroundConfig};
     use olp_parser::{parse_ground_literal, parse_program};
-    use olp_semantics::{least_model, View};
+    use olp_semantics::least_model;
 
     /// Parses a plain (single-module) program into a rule list.
     fn rules_of(world: &mut World, src: &str) -> Vec<Rule> {
@@ -195,7 +195,7 @@ mod tests {
         // Reduced form: one CWA rule per predicate (parent, anc).
         assert_eq!(ov.components[1].rules.len(), 2);
         let g = ground_exhaustive(&mut w, &ov, &GroundConfig::default()).unwrap();
-        let m = least_model(&View::new(&g, c));
+        let m = least_model(&FlatView::new(&g, c));
         let anc_ac = parse_ground_literal(&mut w, "anc(a,c)").unwrap();
         let anc_ca = parse_ground_literal(&mut w, "-anc(c,a)").unwrap();
         assert!(m.holds(anc_ac));
@@ -213,7 +213,7 @@ mod tests {
         let rules = rules_of(&mut w, "p :- -p.");
         let (ov, c) = ordered_version(&mut w, &rules);
         let g = ground_exhaustive(&mut w, &ov, &GroundConfig::default()).unwrap();
-        let v = View::new(&g, c);
+        let v = FlatView::new(&g, c);
         let p_lit = parse_ground_literal(&mut w, "p").unwrap();
         let m_p = olp_core::Interpretation::from_literals([p_lit]).unwrap();
         assert!(!olp_semantics::is_model(&v, &m_p, g.n_atoms));
@@ -225,7 +225,7 @@ mod tests {
         let rules2 = rules_of(&mut w2, "p :- -p.");
         let (ev, c2) = extended_version(&mut w2, &rules2);
         let g2 = ground_exhaustive(&mut w2, &ev, &GroundConfig::default()).unwrap();
-        let v2 = View::new(&g2, c2);
+        let v2 = FlatView::new(&g2, c2);
         let p2 = parse_ground_literal(&mut w2, "p").unwrap();
         let m_p2 = olp_core::Interpretation::from_literals([p2]).unwrap();
         assert!(olp_semantics::is_model(&v2, &m_p2, g2.n_atoms));
@@ -244,7 +244,7 @@ mod tests {
         );
         let (ov, c) = ordered_version(&mut w, &rules);
         let g = ground_exhaustive(&mut w, &ov, &GroundConfig::default()).unwrap();
-        let m = least_model(&View::new(&g, c));
+        let m = least_model(&FlatView::new(&g, c));
         let fly = parse_ground_literal(&mut w, "fly(tweety)").unwrap();
         assert_eq!(m.value(fly.atom()), Truth::Undefined);
     }
@@ -263,11 +263,11 @@ mod tests {
         let (tv, cminus) = three_level_version(&mut w, &rules);
         assert_eq!(tv.components.len(), 3);
         let g = ground_exhaustive(&mut w, &tv, &GroundConfig::default()).unwrap();
-        let v = View::new(&g, cminus);
+        let v = FlatView::new(&g, cminus);
         // The CWA facts are permanently overruled by the (never-blocked)
         // reflexive rules in the least fixpoint, so the *stable* models
         // carry the intended meaning of 3V programs (Def. 10c).
-        let stable = olp_semantics::stable_models(&v, g.n_atoms);
+        let stable = olp_semantics::stable_models(&v);
         assert_eq!(stable.len(), 1, "unique stable model expected");
         let m = &stable[0];
         let fly_t = parse_ground_literal(&mut w, "fly(tweety)").unwrap();
@@ -300,20 +300,20 @@ mod tests {
 
     #[test]
     fn ground_cwa_variant_is_semantically_identical() {
-        use olp_semantics::{least_model, View};
+        use olp_semantics::least_model;
         let src = "p(a). p(b). q(X) :- p(X). r(X) :- q(X), -s(X).";
         let mut w1 = World::new();
         let rules1 = rules_of(&mut w1, src);
         let (ov, c1) = ordered_version(&mut w1, &rules1);
         let g1 = ground_exhaustive(&mut w1, &ov, &GroundConfig::default()).unwrap();
-        let m1 = least_model(&View::new(&g1, c1));
+        let m1 = least_model(&FlatView::new(&g1, c1));
 
         let mut w2 = World::new();
         let rules2 = rules_of(&mut w2, src);
         let consts = [w2.syms.intern("a"), w2.syms.intern("b")];
         let (ovg, c2) = ordered_version_ground_cwa(&mut w2, &rules2, &consts);
         let g2 = ground_exhaustive(&mut w2, &ovg, &GroundConfig::default()).unwrap();
-        let m2 = least_model(&View::new(&g2, c2));
+        let m2 = least_model(&FlatView::new(&g2, c2));
         assert_eq!(m1.render(&w1), m2.render(&w2));
         // But the source sizes differ: reduced = 1 CWA rule per pred,
         // ground = |HU|^arity facts per pred.

@@ -31,7 +31,7 @@ fn main() {
     let rules = flat_rules(&mut w1, src_birds);
     let (ov, c) = ordered_version(&mut w1, &rules);
     let g = ground_exhaustive(&mut w1, &ov, &GroundConfig::default()).unwrap();
-    let m = least_model(&View::new(&g, c));
+    let m = least_model(&FlatView::new(&g, c));
     let fly_t = parse_ground_literal(&mut w1, "fly(tweety)").unwrap();
     println!(
         "two-level OV(C):  fly(tweety) = {:?}  (negative rules only defeat)",
@@ -49,7 +49,7 @@ fn main() {
     let rules = flat_rules(&mut w2, src_birds);
     let (tv, cminus) = three_level_version(&mut w2, &rules);
     let g2 = ground_exhaustive(&mut w2, &tv, &GroundConfig::default()).unwrap();
-    let stable = stable_models(&View::new(&g2, cminus), g2.n_atoms);
+    let stable = stable_models(&FlatView::new(&g2, cminus));
     println!("three-level 3V(C) stable models ({}):", stable.len());
     for s in &stable {
         println!("  {}", s.render(&w2));

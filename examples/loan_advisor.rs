@@ -30,7 +30,7 @@ fn advise(facts: &str) -> (&'static str, String) {
     let myself = prog
         .component_by_name(world.syms.get("myself").unwrap())
         .unwrap();
-    let model = least_model(&View::new(&ground, myself));
+    let model = least_model(&FlatView::new(&ground, myself));
     let take = parse_ground_literal(&mut world, "take_loan").unwrap();
     let verdict = if model.holds(take) {
         "TAKE the loan"

@@ -59,19 +59,19 @@ fn main() {
     for (ci, comp) in prog.components.iter().enumerate() {
         let c = CompId(ci as u32);
         let name = world.syms.name(comp.name);
-        let view = View::new(&ground, c);
+        let view = FlatView::new(&ground, c);
         println!("── component `{name}` (sees {} rules) ──", view.len());
 
         let lm = least_model(&view);
         println!("  least model          : {}", lm.render(&world));
 
-        let af = enumerate_assumption_free(&view, ground.n_atoms);
+        let af = enumerate_assumption_free(&view);
         println!("  assumption-free ({:>2}) :", af.len());
         for m in &af {
             println!("      {}", m.render(&world));
         }
 
-        let stable = stable_models(&view, ground.n_atoms);
+        let stable = stable_models(&view);
         println!("  stable ({:>2})          :", stable.len());
         for m in &stable {
             let total = if m.is_total(ground.n_atoms) {

@@ -361,16 +361,15 @@ fn cmd_check(path: &str, exhaustive: bool, explain: bool, limits: &Limits) -> Cm
             .filter(|&j| j != id)
             .map(|j| l.world.syms.name(l.prog.components[j.index()].name))
             .collect();
-        let view = View::new(&l.ground, id);
-        let stats = view.stats();
-        let conflicts = view.mutual_defeats();
+        let fv = FlatView::new(&l.ground, id);
+        let conflicts = fv.mutual_defeats();
         println!(
             "  {} — {} rules, sees {} ground instances ({} overrule / {} defeat edges){}",
             l.world.syms.name(c.name),
             c.rules.len(),
-            stats.rules,
-            stats.overrule_edges,
-            stats.defeat_edges,
+            fv.len(),
+            fv.overrule_edges(),
+            fv.defeat_edges(),
             if above.is_empty() {
                 String::new()
             } else {
@@ -381,8 +380,8 @@ fn cmd_check(path: &str, exhaustive: bool, explain: bool, limits: &Limits) -> Cm
             println!(
                 "    conflict: {} contested by unranked rules {} / {}",
                 l.world.glit_str(*h),
-                l.ground.rule_str(&l.world, view.global_index(*r1)),
-                l.ground.rule_str(&l.world, view.global_index(*r2)),
+                fv.rule_str(&l.world, *r1),
+                fv.rule_str(&l.world, *r2),
             );
         }
         if conflicts.len() > 5 {
@@ -418,7 +417,6 @@ fn cmd_check(path: &str, exhaustive: bool, explain: bool, limits: &Limits) -> Cm
                 );
             }
         }
-        let fv = FlatView::new(&l.ground, id);
         let weight = MorselCfg::default().target_weight;
         let morsels = fv.morsels(weight);
         println!(
@@ -529,7 +527,7 @@ fn cmd_query(
 ) -> CmdResult {
     let budget = limits.budget();
     let mut l = load(path, exhaustive, &budget, limits.threads)?;
-    let c = find_component(&l, component)?;
+    find_component(&l, component)?;
     // Interning the pattern never changes an answer, so it happens
     // before the program is handed to the KB; a parse error is
     // reported after the model, as the answer would have been.
@@ -558,9 +556,11 @@ fn cmd_query(
         };
         println!("{pattern} in `{component}`: {verdict}{suffix}");
         if explain {
-            let view = View::new(kb.ground_program(), c);
-            let why = explain_in(&view, &m, q);
-            print!("{}", render_why(world, &view, &why));
+            let fv = kb
+                .flat_view(component)
+                .map_err(|e| CliFail::Msg(e.to_string()))?;
+            let why = explain_in(&fv, &m, q);
+            print!("{}", render_why(kb.world(), &fv, &why));
         }
     } else {
         let mut vars = Vec::new();

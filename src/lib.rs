@@ -67,14 +67,14 @@ pub mod prelude {
         Budget, CompId, Eval, GLit, Interpretation, InterruptReason, Interrupted, OrderedProgram,
         Rule, Sign, Truth, World,
     };
-    pub use olp_ground::{ground_exhaustive, ground_smart, GroundConfig, GroundProgram};
+    pub use olp_ground::{ground_exhaustive, ground_smart, FlatView, GroundConfig, GroundProgram};
     pub use olp_kb::{
         Durability, DurableKb, GroundStrategy, Kb, KbBuilder, QueryOptions, Relation,
     };
     pub use olp_parser::{parse_ground_literal, parse_program, parse_rule};
     pub use olp_semantics::{
         explain, is_assumption_free, is_model, least_model, prove, render_why,
-        skeptical_consequences, stable_models, View,
+        skeptical_consequences, stable_models,
     };
     pub use olp_transform::{extended_version, ordered_version, three_level_version};
 }

@@ -21,7 +21,9 @@
 
 use olp_workload::{random_ordered, RandomCfg};
 use ordered_logic::core::{Budget, Eval, InterruptReason, World};
-use ordered_logic::ground::{ground_exhaustive, GroundConfig, GroundError, GroundProgram};
+use ordered_logic::ground::{
+    ground_exhaustive, FlatView, GroundConfig, GroundError, GroundProgram,
+};
 use ordered_logic::kb::{GroundStrategy, Kb, KbBuilder, QueryOptions};
 use ordered_logic::semantics::reference::{
     enumerate_assumption_free_budgeted, least_model_naive_budgeted,
@@ -29,7 +31,7 @@ use ordered_logic::semantics::reference::{
 use ordered_logic::semantics::{
     enumerate_assumption_free_decomposed_budgeted, enumerate_assumption_free_propagating,
     enumerate_assumption_free_propagating_budgeted, explain_budgeted, least_model,
-    least_model_budgeted, prove_budgeted, stable_models_decomposed, View, Why,
+    least_model_budgeted, prove_budgeted, stable_models_decomposed, Why,
 };
 use proptest::prelude::*;
 
@@ -68,7 +70,7 @@ proptest! {
     fn partial_fixpoints_under_approximate(seed in 0u64..40, steps in 0u64..3000) {
         let (_, g) = workload(seed);
         for ci in 0..g.order.len() {
-            let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+            let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
             let full = least_model(&view);
             for eval in [
                 least_model_budgeted(&view, &Budget::with_steps(steps)),
@@ -93,20 +95,20 @@ proptest! {
     fn partial_enumerations_are_subsets(seed in 0u64..25, steps in 0u64..4000) {
         let (_, g) = workload(seed);
         for ci in 0..g.order.len() {
-            let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
-            let full: Vec<Vec<_>> = enumerate_assumption_free_propagating(&view, g.n_atoms)
+            let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
+            let full: Vec<Vec<_>> = enumerate_assumption_free_propagating(&view)
                 .iter()
                 .map(lits_of)
                 .collect();
             let budgeted = [
                 enumerate_assumption_free_budgeted(
-                    &view, g.n_atoms, &Budget::with_steps(steps), None),
+                    &view, &Budget::with_steps(steps), None),
                 enumerate_assumption_free_propagating_budgeted(
-                    &view, g.n_atoms, &Budget::with_steps(steps), None),
+                    &view, &Budget::with_steps(steps), None),
                 enumerate_assumption_free_decomposed_budgeted(
-                    &view, g.n_atoms, &Budget::with_steps(steps), None),
+                    &view, &Budget::with_steps(steps), None),
                 stable_models_decomposed(
-                    &view, g.n_atoms, &Budget::with_steps(steps), None, None),
+                    &view, &Budget::with_steps(steps), None, None),
             ];
             for eval in budgeted {
                 for m in eval.value() {
@@ -124,7 +126,7 @@ proptest! {
     fn partial_prove_never_lies(seed in 0u64..40, steps in 0u64..800) {
         let (mut w, g) = workload(seed);
         for ci in 0..g.order.len() {
-            let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+            let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
             let full = least_model(&view);
             for atom_i in 0..3u32 {
                 let q = ordered_logic::parser::parse_ground_literal(
@@ -145,7 +147,7 @@ proptest! {
     fn partial_explanations_are_genuine_proofs(seed in 0u64..30, steps in 0u64..1500) {
         let (mut w, g) = workload(seed);
         for ci in 0..g.order.len() {
-            let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+            let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
             let full = least_model(&view);
             let q = ordered_logic::parser::parse_ground_literal(&mut w, "p0")
                 .expect("atom parses");
@@ -165,11 +167,11 @@ proptest! {
     fn model_cap_is_respected(seed in 0u64..25, cap in 1usize..4) {
         let (_, g) = workload(seed);
         for ci in 0..g.order.len() {
-            let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+            let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
             let full_count =
-                enumerate_assumption_free_propagating(&view, g.n_atoms).len();
+                enumerate_assumption_free_propagating(&view).len();
             let eval = enumerate_assumption_free_propagating_budgeted(
-                &view, g.n_atoms, &Budget::unlimited(), Some(cap));
+                &view, &Budget::unlimited(), Some(cap));
             match eval {
                 Eval::Complete(ms) => prop_assert!(ms.len() <= cap && full_count <= cap),
                 Eval::Interrupted(i) => {
@@ -186,11 +188,11 @@ proptest! {
         let g = kb.ground_program().clone();
         let opts = QueryOptions::new().max_steps(steps).threads(1);
         for ci in 0..g.order.len() {
-            let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+            let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
             let object = format!("c{ci}");
             // Credulous partials under-approximate: every literal is
             // witnessed by a genuine AF model.
-            let full_af = enumerate_assumption_free_propagating(&view, g.n_atoms);
+            let full_af = enumerate_assumption_free_propagating(&view);
             let cred = kb.credulous_with(&object, &opts).expect("known object");
             for &l in cred.value() {
                 prop_assert!(full_af.iter().any(|m| m.holds(l)));
@@ -224,7 +226,7 @@ proptest! {
 #[test]
 fn expired_deadline_interrupts_immediately() {
     let (_, g) = workload(7);
-    let view = View::new(&g, ordered_logic::core::CompId(0));
+    let view = FlatView::new(&g, ordered_logic::core::CompId(0));
     let budget = Budget::limited(None, Some(std::time::Instant::now()));
     // Deadlines are probed, not checked every tick, so a small prefix of
     // work may complete; the result must still be sound.
@@ -281,15 +283,14 @@ fn cancellation_stops_the_morsel_fixpoint() {
     // Same contract for the work-stealing least model: every worker
     // shares the budget, so a cancellation trips all in-flight morsels
     // and the merged partial under-approximates the least model.
-    use ordered_logic::semantics::{flatten, least_model_morsel_forced};
+    use ordered_logic::semantics::least_model_morsel_forced;
     let (_, g) = workload(11);
     for ci in 0..g.order.len() {
-        let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+        let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
         let full = least_model(&view);
         let budget = Budget::cancellable();
         budget.cancel();
-        let fv = flatten(&view);
-        match least_model_morsel_forced(&fv, &fv.morsels(1), 4, &budget) {
+        match least_model_morsel_forced(&view, &view.morsels(1), 4, &budget) {
             // An empty level schedule can finish before the first probe.
             Eval::Complete(m) => assert_eq!(m, full),
             Eval::Interrupted(i) => {
@@ -303,12 +304,12 @@ fn cancellation_stops_the_morsel_fixpoint() {
 #[test]
 fn cancellation_stops_the_enumerator() {
     let (_, g) = workload(3);
-    let view = View::new(&g, ordered_logic::core::CompId(g.order.len() as u32 - 1));
+    let view = FlatView::new(&g, ordered_logic::core::CompId(g.order.len() as u32 - 1));
     let budget = Budget::cancellable();
     budget.cancel();
     for eval in [
-        enumerate_assumption_free_decomposed_budgeted(&view, g.n_atoms, &budget, None),
-        stable_models_decomposed(&view, g.n_atoms, &budget, None, None),
+        enumerate_assumption_free_decomposed_budgeted(&view, &budget, None),
+        stable_models_decomposed(&view, &budget, None, None),
     ] {
         match eval {
             // Tiny searches may finish inside the first probe interval.
@@ -404,11 +405,10 @@ fn unlimited_budget_is_always_complete() {
     for seed in 0..10 {
         let (_, g) = workload(seed);
         for ci in 0..g.order.len() {
-            let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
+            let view = FlatView::new(&g, ordered_logic::core::CompId(ci as u32));
             assert!(least_model_budgeted(&view, &Budget::unlimited()).is_complete());
             assert!(
-                stable_models_decomposed(&view, g.n_atoms, &Budget::unlimited(), None, None)
-                    .is_complete()
+                stable_models_decomposed(&view, &Budget::unlimited(), None, None).is_complete()
             );
         }
     }

@@ -559,6 +559,10 @@ fn cli_output_matches_goldens() {
     }
     let explain = "query examples/programs/penguin.olp c1 fly(penguin) --explain";
     cases.push(("query_explain_penguin".into(), explain.split(' ').collect()));
+    // Three independent groups with two stable models each: pins the
+    // order in which the per-group models are combined.
+    let stable = "models examples/programs/p5x3.olp c1 --stable";
+    cases.push(("models_p5x3_stable".into(), stable.split(' ').collect()));
     let mut mismatches = Vec::new();
     for (name, args) in &cases {
         let out = Command::new(env!("CARGO_BIN_EXE_olp"))

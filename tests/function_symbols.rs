@@ -18,7 +18,7 @@ fn ground_with_depth(src: &str, depth: u32) -> (World, OrderedProgram, GroundPro
 #[test]
 fn peano_evens_up_to_depth() {
     let (mut w, _, g) = ground_with_depth("even(zero). even(s(s(X))) :- even(X).", 6);
-    let m = least_model(&View::new(&g, CompId(0)));
+    let m = least_model(&FlatView::new(&g, CompId(0)));
     for (term, expected) in [
         ("zero", true),
         ("s(zero)", false),
@@ -44,12 +44,12 @@ fn depth_bound_respected_by_both_grounders() {
             ..GroundConfig::default()
         };
         let ge = ground_exhaustive(&mut w1, &p1, &cfg).unwrap();
-        let m_ex = least_model(&View::new(&ge, CompId(0)));
+        let m_ex = least_model(&FlatView::new(&ge, CompId(0)));
 
         let mut w2 = World::new();
         let p2 = parse_program(&mut w2, src).unwrap();
         let gs = ground_smart(&mut w2, &p2, &cfg).unwrap();
-        let m_sm = least_model(&View::new(&gs, CompId(0)));
+        let m_sm = least_model(&FlatView::new(&gs, CompId(0)));
         assert_eq!(
             m_ex.render(&w1),
             m_sm.render(&w2),
@@ -69,7 +69,7 @@ fn list_membership_with_pairs() {
          member(X, L) :- sublist(T, L), member(X, T).",
         4,
     );
-    let m = least_model(&View::new(&g, CompId(0)));
+    let m = least_model(&FlatView::new(&g, CompId(0)));
     for (q, expected) in [
         ("member(a, cons(a, cons(b, nil)))", true),
         ("member(b, cons(a, cons(b, nil)))", true),
@@ -98,7 +98,7 @@ fn exceptions_over_structured_terms() {
         2,
     );
     let sec = CompId(1);
-    let m = least_model(&View::new(&g, sec));
+    let m = least_model(&FlatView::new(&g, sec));
     let ok = parse_ground_literal(&mut w, "approve(job(alice, deploy))").unwrap();
     let denied = parse_ground_literal(&mut w, "-approve(job(bob, deploy))").unwrap();
     assert!(m.holds(ok), "alice's job approved");
@@ -114,7 +114,7 @@ fn structural_equality_on_compound_terms() {
          off_diagonal(P) :- pair(P), P != p(a, a).",
         2,
     );
-    let m = least_model(&View::new(&g, CompId(0)));
+    let m = least_model(&FlatView::new(&g, CompId(0)));
     assert!(m.holds(parse_ground_literal(&mut w, "diagonal(p(a, a))").unwrap()));
     assert!(!m.holds(parse_ground_literal(&mut w, "diagonal(p(a, b))").unwrap()));
     assert!(m.holds(parse_ground_literal(&mut w, "off_diagonal(p(a, b))").unwrap()));

@@ -23,7 +23,7 @@ use ordered_logic::core::CompId;
 use ordered_logic::ground::FlatView;
 use ordered_logic::prelude::*;
 use ordered_logic::semantics::reference::enumerate_models;
-use ordered_logic::semantics::{interp_intersection, least_model_flat, View};
+use ordered_logic::semantics::{interp_intersection, least_model};
 use proptest::prelude::*;
 
 const N_ATOMS: usize = 6;
@@ -145,7 +145,7 @@ proptest! {
             let obj = format!("c{c}");
             let least = render_model(&mut full, &obj);
             let stable = render_stable(&mut full, &obj);
-            let view = View::new(full.ground_program(), CompId(c as u32));
+            let view = FlatView::new(full.ground_program(), CompId(c as u32));
             let n_atoms = full.ground_program().n_atoms;
             let models = enumerate_models(&view, n_atoms, None);
             prop_assert!(!models.is_empty(), "the least model is always a model");
@@ -198,7 +198,7 @@ proptest! {
     /// revalidation — [`least_model_delta_flat`] over arenas maintained
     /// by `FlatView::apply_delta` inside `Kb::commit` — must render
     /// byte-identically to a from-scratch reground of the mutated
-    /// program evaluated with [`least_model_flat`] on a freshly
+    /// program evaluated with [`least_model`] on a freshly
     /// compiled arena, at 1 and 4 worker threads.
     ///
     /// The model caches are warmed before each mutation, so every
@@ -207,7 +207,7 @@ proptest! {
     /// patched-or-rebuilt ones the commit left behind.
     ///
     /// [`least_model_delta_flat`]: ordered_logic::semantics::least_model_delta_flat
-    /// [`least_model_flat`]: ordered_logic::semantics::least_model_flat
+    /// [`least_model`]: ordered_logic::semantics::least_model
     #[test]
     fn flat_delta_revalidation_matches_scratch_flat(
         seed in 0u64..300,
@@ -232,7 +232,7 @@ proptest! {
                 for c in 0..N_COMPONENTS {
                     let obj = format!("c{c}");
                     let fv = FlatView::new(scratch.ground_program(), CompId(c as u32));
-                    let reference = scratch.render(&least_model_flat(&fv));
+                    let reference = scratch.render(&least_model(&fv));
                     prop_assert_eq!(
                         render_model(&mut inc, &obj),
                         reference,

@@ -54,7 +54,7 @@ const FIG2: &str = "module c3 { rich(mimmo). -poor(X) :- rich(X). }
 fn e1_fig1_overruling() {
     let (mut w, p, g) = setup(FIG1);
     let c1 = comp(&w, &p, "c1");
-    let m = least_model(&View::new(&g, c1));
+    let m = least_model(&FlatView::new(&g, c1));
     let i1 = interp(
         &mut w,
         &[
@@ -70,8 +70,8 @@ fn e1_fig1_overruling() {
     // total, a model, and the unique stable model.
     assert_eq!(m, i1);
     assert!(m.is_total(g.n_atoms));
-    assert!(is_model(&View::new(&g, c1), &m, g.n_atoms));
-    let stable = stable_models(&View::new(&g, c1), g.n_atoms);
+    assert!(is_model(&FlatView::new(&g, c1), &m, g.n_atoms));
+    let stable = stable_models(&FlatView::new(&g, c1));
     assert_eq!(stable, vec![i1]);
 }
 
@@ -81,7 +81,7 @@ fn e1_fig1_overruling() {
 fn e1_fig1_view_from_c2() {
     let (mut w, p, g) = setup(FIG1);
     let c2 = comp(&w, &p, "c2");
-    let m = least_model(&View::new(&g, c2));
+    let m = least_model(&FlatView::new(&g, c2));
     assert!(m.holds(parse_ground_literal(&mut w, "fly(penguin)").unwrap()));
     assert!(m.holds(parse_ground_literal(&mut w, "-ground_animal(penguin)").unwrap()));
 }
@@ -96,7 +96,7 @@ fn e1_fig1_view_from_c2() {
 fn e2_fig1_collapsed_defeating() {
     let (mut w, p, g) = setup(FIG1_COLLAPSED);
     let c = comp(&w, &p, "main");
-    let v = View::new(&g, c);
+    let v = FlatView::new(&g, c);
     let i1 = interp(
         &mut w,
         &[
@@ -133,11 +133,11 @@ fn e2_fig1_collapsed_defeating() {
 fn e3_fig2_defeating() {
     let (mut w, p, g) = setup(FIG2);
     let c1 = comp(&w, &p, "c1");
-    let v = View::new(&g, c1);
+    let v = FlatView::new(&g, c1);
     let m = least_model(&v);
     assert!(m.is_empty());
     assert!(!has_total_model(&v, g.n_atoms));
-    let af = enumerate_assumption_free(&v, g.n_atoms);
+    let af = enumerate_assumption_free(&v);
     assert_eq!(af.len(), 1);
     assert!(af[0].is_empty());
     // I2 = {rich(mimmo), poor(mimmo)} is an interpretation but not a
@@ -153,9 +153,9 @@ fn e3_fig2_defeating() {
 fn e3_fig2_local_views() {
     let (mut w, p, g) = setup(FIG2);
     let rich = parse_ground_literal(&mut w, "rich(mimmo)").unwrap();
-    let m3 = least_model(&View::new(&g, comp(&w, &p, "c3")));
+    let m3 = least_model(&FlatView::new(&g, comp(&w, &p, "c3")));
     assert!(m3.holds(rich));
-    let m2 = least_model(&View::new(&g, comp(&w, &p, "c2")));
+    let m2 = least_model(&FlatView::new(&g, comp(&w, &p, "c2")));
     assert!(m2.holds(rich.complement()));
 }
 
@@ -175,7 +175,7 @@ fn e4_loan_scenarios() {
         );
         let (mut w, p, g) = setup(&src);
         let myself = comp(&w, &p, "myself");
-        let m = least_model(&View::new(&g, myself));
+        let m = least_model(&FlatView::new(&g, myself));
         let t = parse_ground_literal(&mut w, "take_loan").unwrap();
         (m.holds(t), m.holds(t.complement()))
     };
@@ -199,7 +199,7 @@ fn e4_loan_scenarios() {
 fn e5_p3_model_lattice() {
     let (w, p, g) = setup("a :- b. -a :- b.");
     let c = comp(&w, &p, "main");
-    let v = View::new(&g, c);
+    let v = FlatView::new(&g, c);
     let models = enumerate_models(&v, g.n_atoms, None);
     let mut renders: Vec<String> = models.iter().map(|m| m.render(&w)).collect();
     renders.sort();
@@ -210,7 +210,7 @@ fn e5_p3_model_lattice() {
     expected.sort();
     assert_eq!(renders, expected);
     // The empty set is the only assumption-free model of P3.
-    let af = enumerate_assumption_free(&v, g.n_atoms);
+    let af = enumerate_assumption_free(&v);
     assert_eq!(af.len(), 1);
     assert!(af[0].is_empty());
 }
@@ -225,8 +225,8 @@ fn e5_p3_model_lattice() {
 fn e6_p4_and_cwa_component() {
     let (mut w, p, g) = setup("a :- b.");
     let c = comp(&w, &p, "main");
-    let v = View::new(&g, c);
-    let af = enumerate_assumption_free(&v, g.n_atoms);
+    let v = FlatView::new(&g, c);
+    let af = enumerate_assumption_free(&v);
     assert_eq!(af.len(), 1);
     assert!(af[0].is_empty());
     let nn = interp(&mut w, &["-a", "-b"]);
@@ -235,12 +235,12 @@ fn e6_p4_and_cwa_component() {
 
     let (mut w2, p2, g2) = setup("module c2 { -a. -b. } module c1 < c2 { a :- b. }");
     let c1 = comp(&w2, &p2, "c1");
-    let v2 = View::new(&g2, c1);
+    let v2 = FlatView::new(&g2, c1);
     let nn2 = interp(&mut w2, &["-a", "-b"]);
     assert!(is_model(&v2, &nn2, g2.n_atoms));
     assert!(is_assumption_free(&v2, &nn2));
     // It is in fact the unique stable model now.
-    let stable = stable_models(&v2, g2.n_atoms);
+    let stable = stable_models(&v2);
     assert_eq!(stable, vec![nn2]);
 }
 
@@ -256,16 +256,16 @@ fn e7_p5_two_stable_models() {
          module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
     );
     let c1 = comp(&w, &p, "c1");
-    let v = View::new(&g, c1);
+    let v = FlatView::new(&g, c1);
     let m1 = interp(&mut w, &["a", "-b", "c"]);
     let m2 = interp(&mut w, &["-a", "b", "c"]);
     let just_c = interp(&mut w, &["c"]);
-    let mut stable = stable_models(&v, g.n_atoms);
+    let mut stable = stable_models(&v);
     stable.sort_by_key(|m| m.render(&w));
     let mut expected = vec![m1, m2];
     expected.sort_by_key(|m| m.render(&w));
     assert_eq!(stable, expected);
-    let af = enumerate_assumption_free(&v, g.n_atoms);
+    let af = enumerate_assumption_free(&v);
     assert!(af.contains(&just_c));
     assert!(!stable.contains(&just_c));
     // And the least model is exactly {c}: the intersection of all
@@ -291,7 +291,7 @@ fn e10_three_level_exceptions() {
     let rules = flat.components.into_iter().next().unwrap().rules;
     let (tv, cminus) = three_level_version(&mut w, &rules);
     let g = ground_exhaustive(&mut w, &tv, &GroundConfig::default()).unwrap();
-    let stable = stable_models(&View::new(&g, cminus), g.n_atoms);
+    let stable = stable_models(&FlatView::new(&g, cminus));
     assert_eq!(stable.len(), 1);
     let m = &stable[0];
     assert!(m.holds(parse_ground_literal(&mut w, "-fly(tweety)").unwrap()));
@@ -316,7 +316,7 @@ fn e10_two_level_is_poor() {
     let rules = flat.components.into_iter().next().unwrap().rules;
     let (ov, c) = ordered_version(&mut w, &rules);
     let g = ground_exhaustive(&mut w, &ov, &GroundConfig::default()).unwrap();
-    let m = least_model(&View::new(&g, c));
+    let m = least_model(&FlatView::new(&g, c));
     let fly = parse_ground_literal(&mut w, "fly(tweety)").unwrap();
     assert!(!m.holds(fly) && !m.holds(fly.complement()));
 }
@@ -330,7 +330,7 @@ fn def5_nontotal_exhaustive_coexists_with_total_on_p3() {
     use ordered_logic::semantics::is_exhaustive;
     let (mut w, p, g) = setup("a :- b. -a :- b.");
     let c = comp(&w, &p, "main");
-    let v = View::new(&g, c);
+    let v = FlatView::new(&g, c);
     let just_b = interp(&mut w, &["b"]);
     assert!(is_model(&v, &just_b, g.n_atoms));
     assert!(is_exhaustive(&v, &just_b, g.n_atoms));
@@ -348,7 +348,7 @@ fn def5_exhaustive_without_total_on_fig2() {
     use ordered_logic::semantics::{extend_to_exhaustive, is_exhaustive};
     let (w, p, g) = setup(FIG2);
     let c1 = comp(&w, &p, "c1");
-    let v = View::new(&g, c1);
+    let v = FlatView::new(&g, c1);
     assert!(!has_total_model(&v, g.n_atoms));
     let e = extend_to_exhaustive(&v, &Interpretation::new(), g.n_atoms);
     assert!(is_exhaustive(&v, &e, g.n_atoms));
@@ -371,7 +371,7 @@ fn fixpoint_invariants_on_all_paper_programs() {
     ] {
         let (_, p, g) = setup(src);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             let lm = least_model(&v);
             assert!(is_model(&v, &lm, g.n_atoms), "{src}");
             assert!(is_assumption_free(&v, &lm), "{src}");

@@ -22,7 +22,7 @@ use olp_workload::{random_datalog, random_ordered, DatalogCfg, RandomCfg};
 use ordered_logic::kb::KbSnapshot;
 use ordered_logic::prelude::*;
 use ordered_logic::semantics::reference::least_model_monolithic;
-use ordered_logic::semantics::{flatten, least_model_flat, least_model_morsel_forced};
+use ordered_logic::semantics::{least_model, least_model_morsel_forced};
 use proptest::prelude::*;
 
 fn datalog_cfg() -> DatalogCfg {
@@ -202,8 +202,8 @@ proptest! {
         for ci in 0..gp.order.len() {
             let c = CompId(ci as u32);
             prop_assert_eq!(
-                least_model(&View::new(&gp, c)).render(&wp),
-                least_model(&View::new(&gn, c)).render(&wn),
+                least_model(&FlatView::new(&gp, c)).render(&wp),
+                least_model(&FlatView::new(&gn, c)).render(&wn),
                 "least models differ with planner off in component {} (seed {})", ci, seed
             );
         }
@@ -331,11 +331,10 @@ proptest! {
         let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
-            let view = View::new(&g, c);
-            let reference = least_model_monolithic(&view).render(&w);
-            let fv = flatten(&view);
+            let fv = FlatView::new(&g, c);
+            let reference = least_model_monolithic(&fv).render(&w);
             prop_assert_eq!(
-                least_model_flat(&fv).render(&w), reference.clone(),
+                least_model(&fv).render(&w), reference.clone(),
                 "flat engine differs from interpretive in component {} (seed {})", ci, seed
             );
             let morsels = fv.morsels(1);
@@ -374,7 +373,7 @@ proptest! {
         let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
-            let fv = flatten(&View::new(&g, c));
+            let fv = FlatView::new(&g, c);
             let ms = fv.morsels(target);
             if fv.is_empty() {
                 prop_assert!(ms.is_empty(), "empty view produced morsels (seed {})", seed);
@@ -438,11 +437,11 @@ proptest! {
         let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
-            let fv = flatten(&View::new(&g, c));
+            let fv = FlatView::new(&g, c);
             if fv.is_empty() {
                 continue;
             }
-            let full = least_model_flat(&fv);
+            let full = least_model(&fv);
             let morsels = fv.morsels(1);
             let budget = Budget::limited(Some(max_steps), None);
             let ev = least_model_morsel_forced(&fv, &morsels, 4, &budget);

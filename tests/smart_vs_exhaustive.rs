@@ -42,8 +42,8 @@ proptest! {
         let g_sm = ground_smart(&mut w, &p, &gc).unwrap();
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
-            let m_ex = least_model(&View::new(&g_ex, c));
-            let m_sm = least_model(&View::new(&g_sm, c));
+            let m_ex = least_model(&FlatView::new(&g_ex, c));
+            let m_sm = least_model(&FlatView::new(&g_sm, c));
             prop_assert_eq!(
                 m_ex.render(&w), m_sm.render(&w),
                 "least models differ in component {} (seed {})", ci, seed
@@ -70,14 +70,14 @@ proptest! {
         let g_sm = ground_smart(&mut w, &p, &gc).unwrap();
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
-            let af_ex = enumerate_assumption_free(&View::new(&g_ex, c), g_ex.n_atoms);
-            let af_sm = enumerate_assumption_free(&View::new(&g_sm, c), g_sm.n_atoms);
+            let af_ex = enumerate_assumption_free(&FlatView::new(&g_ex, c));
+            let af_sm = enumerate_assumption_free(&FlatView::new(&g_sm, c));
             prop_assert_eq!(
                 renders(&w, &af_ex), renders(&w, &af_sm),
                 "AF sets differ in component {} (seed {})", ci, seed
             );
-            let st_ex = stable_models(&View::new(&g_ex, c), g_ex.n_atoms);
-            let st_sm = stable_models(&View::new(&g_sm, c), g_sm.n_atoms);
+            let st_ex = stable_models(&FlatView::new(&g_ex, c));
+            let st_sm = stable_models(&FlatView::new(&g_sm, c));
             prop_assert_eq!(
                 renders(&w, &st_ex), renders(&w, &st_sm),
                 "stable sets differ in component {} (seed {})", ci, seed
@@ -98,8 +98,8 @@ proptest! {
         let g_sm = ground_smart(&mut w, &p, &gc).unwrap();
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
-            let m_ex = least_model(&View::new(&g_ex, c));
-            let m_sm = least_model(&View::new(&g_sm, c));
+            let m_ex = least_model(&FlatView::new(&g_ex, c));
+            let m_sm = least_model(&FlatView::new(&g_sm, c));
             prop_assert_eq!(
                 m_ex.render(&w), m_sm.render(&w),
                 "least models differ in component {} (seed {})", ci, seed
@@ -117,8 +117,8 @@ proptest! {
         let g_ex = ground_exhaustive(&mut w, &p, &gc).unwrap();
         let g_sm = ground_smart(&mut w, &p, &gc).unwrap();
         let c = CompId(0);
-        let m_ex = least_model(&View::new(&g_ex, c));
-        let m_sm = least_model(&View::new(&g_sm, c));
+        let m_ex = least_model(&FlatView::new(&g_ex, c));
+        let m_sm = least_model(&FlatView::new(&g_sm, c));
         prop_assert_eq!(m_ex.render(&w), m_sm.render(&w));
     }
 }
@@ -131,7 +131,7 @@ fn taxonomy_smart_matches_expected_truth() {
     let mut w = World::new();
     let p = taxonomy_chain(&mut w, n_species, n_layers);
     let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
-    let m = least_model(&View::new(&g, CompId(0)));
+    let m = least_model(&FlatView::new(&g, CompId(0)));
     for s in 0..n_species {
         let fly = parse_ground_literal(&mut w, &format!("fly(s{s})")).unwrap();
         let expected = taxonomy_expected_fly(n_species, n_layers, s);
@@ -153,10 +153,10 @@ fn defeating_pairs_smart_and_exhaustive_empty() {
     let g_ex = ground_exhaustive(&mut w, &p, &gc).unwrap();
     let g_sm = ground_smart(&mut w, &p, &gc).unwrap();
     let consumer = CompId(0);
-    assert!(least_model(&View::new(&g_ex, consumer)).is_empty());
-    assert!(least_model(&View::new(&g_sm, consumer)).is_empty());
+    assert!(least_model(&FlatView::new(&g_ex, consumer)).is_empty());
+    assert!(least_model(&FlatView::new(&g_sm, consumer)).is_empty());
     // But each individual expert still believes its own fact.
-    let m_pro = least_model(&View::new(&g_sm, CompId(1)));
+    let m_pro = least_model(&FlatView::new(&g_sm, CompId(1)));
     assert_eq!(m_pro.len(), 1);
 }
 
@@ -171,8 +171,8 @@ fn expert_panel_verdicts_agree() {
         let g_ex = ground_exhaustive(&mut w, &p, &gc).unwrap();
         let g_sm = ground_smart(&mut w, &p, &gc).unwrap();
         let myself = CompId(0);
-        let m_ex = least_model(&View::new(&g_ex, myself));
-        let m_sm = least_model(&View::new(&g_sm, myself));
+        let m_ex = least_model(&FlatView::new(&g_ex, myself));
+        let m_sm = least_model(&FlatView::new(&g_sm, myself));
         assert_eq!(
             m_ex.render(&w),
             m_sm.render(&w),

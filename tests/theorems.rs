@@ -42,7 +42,7 @@ proptest! {
         let cfg = small_cfg(5, 8, 3);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             let mut cur = Interpretation::new();
             for _ in 0..20 {
                 let next = v_step(&v, &cur);
@@ -62,7 +62,7 @@ proptest! {
         let cfg = small_cfg(4, 7, 2);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             for j in enumerate_models(&v, g.n_atoms, None).into_iter().take(8) {
                 // I = every-other-literal subset of J (deterministic).
                 let mut i = Interpretation::new();
@@ -86,7 +86,7 @@ proptest! {
         let cfg = small_cfg(4, 7, 3);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             let lm = least_model(&v);
             prop_assert_eq!(&lm, &least_model_naive(&v), "engines agree");
             prop_assert!(is_model(&v, &lm, g.n_atoms));
@@ -105,7 +105,7 @@ proptest! {
         let cfg = small_cfg(4, 7, 2);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             for m in enumerate_models(&v, g.n_atoms, None) {
                 prop_assert_eq!(
                     is_assumption_free(&v, &m),
@@ -122,7 +122,7 @@ proptest! {
         let cfg = small_cfg(3, 6, 2);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             for m in enumerate_models(&v, g.n_atoms, None) {
                 let e = extend_to_exhaustive(&v, &m, g.n_atoms);
                 prop_assert!(m.is_subset(&e));
@@ -139,10 +139,10 @@ proptest! {
         let cfg = small_cfg(4, 8, 3);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             let lm = least_model(&v);
-            let af = ordered_logic::semantics::reference::enumerate_assumption_free(&v, g.n_atoms);
-            let stable = stable_models(&v, g.n_atoms);
+            let af = ordered_logic::semantics::reference::enumerate_assumption_free(&v);
+            let stable = stable_models(&v);
             prop_assert!(!stable.is_empty(), "an AF model always exists (lfp)");
             for s in &stable {
                 prop_assert!(is_model(&v, s, g.n_atoms));
@@ -170,7 +170,7 @@ proptest! {
         let cfg = small_cfg(5, 9, 3);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             let m = least_model(&v);
             for a in 0..g.n_atoms as u32 {
                 for sign in [Sign::Pos, Sign::Neg] {
@@ -190,10 +190,10 @@ proptest! {
         let cfg = small_cfg(5, 9, 3);
         let (w, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
-            let mut a: Vec<String> = enumerate_assumption_free(&v, g.n_atoms)
+            let v = FlatView::new(&g, CompId(ci as u32));
+            let mut a: Vec<String> = enumerate_assumption_free(&v)
                 .iter().map(|m| m.render(&w)).collect();
-            let mut b: Vec<String> = enumerate_assumption_free_propagating(&v, g.n_atoms)
+            let mut b: Vec<String> = enumerate_assumption_free_propagating(&v)
                 .iter().map(|m| m.render(&w)).collect();
             a.sort();
             b.sort();
@@ -215,22 +215,22 @@ proptest! {
         let cfg = small_cfg(5, 9, 3);
         let (w, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             prop_assert_eq!(
                 least_model(&v), least_model_monolithic(&v),
                 "stratified lfp differs (seed {}, comp {})", seed, ci);
-            let mut a: Vec<String> = enumerate_assumption_free_propagating(&v, g.n_atoms)
+            let mut a: Vec<String> = enumerate_assumption_free_propagating(&v)
                 .iter().map(|m| m.render(&w)).collect();
             let mut b: Vec<String> = enumerate_assumption_free_decomposed_budgeted(
-                &v, g.n_atoms, &Budget::unlimited(), None)
+                &v, &Budget::unlimited(), None)
                 .into_value().iter().map(|m| m.render(&w)).collect();
             a.sort();
             b.sort();
             prop_assert_eq!(a, b, "AF sets differ (seed {}, comp {})", seed, ci);
             let mut sa: Vec<String> =
-                stable_models_monolithic_budgeted(&v, g.n_atoms, &Budget::unlimited(), None)
+                stable_models_monolithic_budgeted(&v, &Budget::unlimited(), None)
                     .into_value().iter().map(|m| m.render(&w)).collect();
-            let mut sb: Vec<String> = stable_models(&v, g.n_atoms)
+            let mut sb: Vec<String> = stable_models(&v)
                 .iter().map(|m| m.render(&w)).collect();
             sa.sort();
             sb.sort();
@@ -246,11 +246,11 @@ proptest! {
         let cfg = small_cfg(4, 8, 3);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             let lm = least_model(&v);
-            let sk = skeptical_consequences(&v, g.n_atoms);
+            let sk = skeptical_consequences(&v);
             prop_assert!(lm.is_subset(&sk));
-            for s in stable_models(&v, g.n_atoms) {
+            for s in stable_models(&v) {
                 prop_assert!(sk.is_subset(&s));
             }
         }
@@ -266,7 +266,7 @@ proptest! {
         let cfg = small_cfg(5, 9, 3);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             let m = least_model(&v);
             for lit in m.literals() {
                 match explain_in(&v, &m, lit) {
@@ -275,12 +275,11 @@ proptest! {
                         let mut stack = vec![&proof];
                         while let Some(node) = stack.pop() {
                             prop_assert!(m.holds(node.lit));
-                            let rule = v.rule(node.rule);
-                            prop_assert_eq!(rule.head, node.lit);
+                            prop_assert_eq!(v.head(node.rule), node.lit);
                             prop_assert!(v.applied(node.rule, &m));
                             prop_assert!(!v.overruled(node.rule, &m));
                             prop_assert!(!v.defeated(node.rule, &m));
-                            prop_assert_eq!(rule.body.len(), node.premises.len());
+                            prop_assert_eq!(v.body(node.rule).len(), node.premises.len());
                             stack.extend(node.premises.iter());
                         }
                     }
@@ -329,7 +328,7 @@ proptest! {
         let cfg = small_cfg(4, 7, 2);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             for m in enumerate_models(&v, g.n_atoms, None).into_iter().take(20) {
                 let t = t_fixpoint(&enabled_version(&v, &m));
                 prop_assert!(t.is_subset(&m), "Lemma 2 violated");
@@ -345,7 +344,7 @@ proptest! {
         let cfg = small_cfg(3, 6, 2);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             for m in enumerate_models(&v, g.n_atoms, None) {
                 if m.is_total(g.n_atoms) {
                     prop_assert!(is_exhaustive(&v, &m, g.n_atoms));
@@ -364,7 +363,7 @@ proptest! {
         let cfg = small_cfg(4, 7, 2);
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
-            let v = View::new(&g, CompId(ci as u32));
+            let v = FlatView::new(&g, CompId(ci as u32));
             for m in enumerate_models(&v, g.n_atoms, None).into_iter().take(10) {
                 let gas = greatest_assumption_set(&v, &m);
                 // Idempotence: the GAS of (m minus gas) w.r.t. itself
@@ -375,7 +374,7 @@ proptest! {
                         v.applicable(li, &m)
                             && !v.overruled(li, &m)
                             && !v.defeated(li, &m)
-                            && v.rule(li).body.iter().all(|b| !gas.contains(b))
+                            && v.body(li).iter().all(|b| !gas.contains(b))
                     });
                     prop_assert!(!supported);
                 }
@@ -401,19 +400,15 @@ fn two_disjoint_fig2_copies_decompose_into_a_product() {
     .unwrap();
     let g = ground_exhaustive(&mut w, &p, &GroundConfig::default()).unwrap();
     let c1 = p.component_by_name(w.syms.get("c1").unwrap()).unwrap();
-    let v = View::new(&g, c1);
+    let v = FlatView::new(&g, c1);
     let d = Decomposition::new(&v);
     assert_eq!(d.groups().len(), 2, "disjoint copies → independent groups");
-    let mut dec: Vec<String> = stable_models(&v, g.n_atoms)
+    let mut dec: Vec<String> = stable_models(&v).iter().map(|m| m.render(&w)).collect();
+    let mut mono: Vec<String> = stable_models_monolithic_budgeted(&v, &Budget::unlimited(), None)
+        .into_value()
         .iter()
         .map(|m| m.render(&w))
         .collect();
-    let mut mono: Vec<String> =
-        stable_models_monolithic_budgeted(&v, g.n_atoms, &Budget::unlimited(), None)
-            .into_value()
-            .iter()
-            .map(|m| m.render(&w))
-            .collect();
     dec.sort();
     mono.sort();
     assert_eq!(dec.len(), 4, "2 choices × 2 choices");

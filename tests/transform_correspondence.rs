@@ -112,7 +112,7 @@ proptest! {
     #[test]
     fn new_correspondence_ov_lfp_is_fitting(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(5, 8));
-        let v = View::new(&s.ov, s.ov_c);
+        let v = FlatView::new(&s.ov, s.ov_c);
         let lfp = least_model(&v);
         let fitting = ordered_logic::classic::fitting_model(&s.naf);
         prop_assert_eq!(
@@ -131,8 +131,8 @@ proptest! {
     #[test]
     fn wfs_below_ov_skeptical(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(4, 6));
-        let v = View::new(&s.ov, s.ov_c);
-        let sk = ordered_logic::semantics::skeptical_consequences(&v, s.n_atoms);
+        let v = FlatView::new(&s.ov, s.ov_c);
+        let sk = ordered_logic::semantics::skeptical_consequences(&v);
         let wfm = ordered_logic::classic::well_founded_model(&s.naf);
         prop_assert!(
             wfm.is_subset(&sk),
@@ -162,7 +162,7 @@ proptest! {
         let n_atoms = w.atoms.len();
         let mut naf = NafProgram::from_ground(&flat_ground).unwrap();
         naf.n_atoms = n_atoms;
-        let lfp = least_model(&View::new(&ovg, c));
+        let lfp = least_model(&FlatView::new(&ovg, c));
         let fitting = ordered_logic::classic::fitting_model(&naf);
         prop_assert_eq!(
             lfp.render(&w),
@@ -175,7 +175,7 @@ proptest! {
     #[test]
     fn prop3_ov_models_are_3valued(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(4, 6));
-        let v = View::new(&s.ov, s.ov_c);
+        let v = FlatView::new(&s.ov, s.ov_c);
         for m in enumerate_models(&v, s.n_atoms, None) {
             prop_assert!(
                 is_3valued_model(&s.naf, &m),
@@ -189,8 +189,8 @@ proptest! {
     #[test]
     fn prop4_ov_assumption_free_eq_founded(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(4, 6));
-        let v = View::new(&s.ov, s.ov_c);
-        let af = enumerate_assumption_free(&v, s.n_atoms);
+        let v = FlatView::new(&s.ov, s.ov_c);
+        let af = enumerate_assumption_free(&v);
         // The AF enumeration restricts to derivable atoms; founded
         // models are enumerated over everything — but foundedness
         // forces undefinedness outside the derivable set, so the sets
@@ -208,8 +208,8 @@ proptest! {
     #[test]
     fn cor1_ov_stable_eq_partial_stable(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(4, 6));
-        let v = View::new(&s.ov, s.ov_c);
-        let ov_stable = stable_models(&v, s.n_atoms);
+        let v = FlatView::new(&s.ov, s.ov_c);
+        let ov_stable = stable_models(&v);
         let ps = partial_stable_models(&s.naf);
         prop_assert_eq!(
             sorted_renders(&s.w, &ov_stable),
@@ -241,7 +241,7 @@ proptest! {
     #[test]
     fn prop5a_ev_models_eq_3valued(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(3, 5));
-        let v = View::new(&s.ev, s.ev_c);
+        let v = FlatView::new(&s.ev, s.ev_c);
         for m in all_interpretations(s.n_atoms) {
             prop_assert_eq!(
                 is_model(&v, &m, s.n_atoms),
@@ -256,10 +256,10 @@ proptest! {
     #[test]
     fn prop5bc_af_sandwich(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(4, 6));
-        let ov_v = View::new(&s.ov, s.ov_c);
-        let ev_v = View::new(&s.ev, s.ev_c);
-        let af_ov = enumerate_assumption_free(&ov_v, s.n_atoms);
-        let af_ev = enumerate_assumption_free(&ev_v, s.n_atoms);
+        let ov_v = FlatView::new(&s.ov, s.ov_c);
+        let ev_v = FlatView::new(&s.ev, s.ev_c);
+        let af_ov = enumerate_assumption_free(&ov_v);
+        let af_ev = enumerate_assumption_free(&ev_v);
         for m in &af_ov {
             prop_assert!(af_ev.contains(m), "5b violated (seed {})", seed);
         }
@@ -275,11 +275,11 @@ proptest! {
     #[test]
     fn prop5d_stable_coincide(seed in 0u64..10_000) {
         let s = setup_seminegative(seed, &cfg(4, 6));
-        let ov_v = View::new(&s.ov, s.ov_c);
-        let ev_v = View::new(&s.ev, s.ev_c);
+        let ov_v = FlatView::new(&s.ov, s.ov_c);
+        let ev_v = FlatView::new(&s.ev, s.ev_c);
         prop_assert_eq!(
-            sorted_renders(&s.w, &stable_models(&ov_v, s.n_atoms)),
-            sorted_renders(&s.w, &stable_models(&ev_v, s.n_atoms)),
+            sorted_renders(&s.w, &stable_models(&ov_v)),
+            sorted_renders(&s.w, &stable_models(&ev_v)),
             "Prop 5d mismatch (seed {})", seed
         );
     }
@@ -297,7 +297,7 @@ proptest! {
         let (tv_prog, cminus) = three_level_version(&mut w, &rules);
         let tv = ground_exhaustive(&mut w, &tv_prog, &gcfg).unwrap();
         let n_atoms = w.atoms.len();
-        let v = View::new(&tv, cminus);
+        let v = FlatView::new(&tv, cminus);
 
         // (a) models agree over all interpretations.
         for m in all_interpretations(n_atoms) {
@@ -308,7 +308,7 @@ proptest! {
             );
         }
         // (b) assumption-free models agree.
-        let af_tv = enumerate_assumption_free(&v, n_atoms);
+        let af_tv = enumerate_assumption_free(&v);
         let af_direct = assumption_free_models_direct(&flat_ground.rules, n_atoms);
         prop_assert_eq!(
             sorted_renders(&w, &af_tv),
@@ -317,7 +317,7 @@ proptest! {
         );
         // (c) stable models agree.
         prop_assert_eq!(
-            sorted_renders(&w, &stable_models(&v, n_atoms)),
+            sorted_renders(&w, &stable_models(&v)),
             sorted_renders(&w, &stable_models_direct(&flat_ground.rules, n_atoms)),
             "Thm 2 (stable) mismatch (seed {})", seed
         );
@@ -351,7 +351,7 @@ fn thm2_negative_literals_need_support() {
     let (tv_prog, cminus) = three_level_version(&mut w, &rules);
     let tv = ground_exhaustive(&mut w, &tv_prog, &gcfg).unwrap();
     let n_atoms = w.atoms.len();
-    let v = View::new(&tv, cminus);
+    let v = FlatView::new(&tv, cminus);
 
     let m = Interpretation::from_literals(
         ["-p1", "-p2", "p0"]
@@ -384,7 +384,7 @@ fn example7_converse_of_prop3_fails() {
     let p = parse_ground_literal(&mut w, "p").unwrap();
     let m = Interpretation::from_literals([p]).unwrap();
     assert!(is_3valued_model(&naf, &m));
-    assert!(!is_model(&View::new(&ov, c), &m, ov.n_atoms));
+    assert!(!is_model(&FlatView::new(&ov, c), &m, ov.n_atoms));
 }
 
 /// Example 6 pinned: the OV of the ancestor program computes the CWA
@@ -402,7 +402,7 @@ fn example6_ancestor_ov_total() {
     let rules = flat.components[0].rules.clone();
     let (ov_prog, c) = ordered_version(&mut w, &rules);
     let ov = ground_exhaustive(&mut w, &ov_prog, &GroundConfig::default()).unwrap();
-    let m = least_model(&View::new(&ov, c));
+    let m = least_model(&FlatView::new(&ov, c));
     assert!(m.is_total(ov.n_atoms));
     assert!(m.holds(parse_ground_literal(&mut w, "anc(a,c)").unwrap()));
     assert!(m.holds(parse_ground_literal(&mut w, "-anc(b,a)").unwrap()));
